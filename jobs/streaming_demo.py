@@ -24,8 +24,11 @@ def main() -> None:
         spark, gt, d, k=cfg.k, eps=cfg.eps,
         algos=["exact", "nonuniform"], seed=cfg.seed, proto_c=cfg.proto_c,
     )
-    for algo, (model, messages) in out.items():
-        print(f"{algo}: {messages:,} messages, model over {model.net.n_counters} counters")
+    for algo, res in out.items():
+        print(
+            f"{algo}: {res.total_messages:,} messages, "
+            f"model over {res.model.net.n_counters} counters"
+        )
 
 
 if __name__ == "__main__":

@@ -4,5 +4,5 @@
 Subpackages: ``bayesnet`` (network substrate), ``distmon`` (distributed
 counter protocol), ``stream`` (Spark dataflow), ``core`` (the paper's
 algorithms), plus ``experiments`` (table/figure harness), ``synth_data``
-(generators) and ``oracle`` (DuckDB result-equality checks).
+(event-stream DataFrame) and ``oracle`` (DuckDB result-equality checks).
 """

@@ -142,14 +142,21 @@ class BayesNet:
             return np.zeros(X.shape[0], dtype=np.int64)
         return (X[:, ps].astype(np.int64) * self._strides[i]).sum(axis=1)
 
+    def counter_ids(
+        self, i: int, xi: np.ndarray, pidx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Global ``(family, parent)`` counter ids of node ``i``'s cells
+        ``(x_i, x_par_index)`` — the one place the id layout is computed
+        (the DuckDB oracle SQL re-derives it independently)."""
+        return self.fam_offset[i] + pidx * self.cards[i] + xi, self.par_offset[i] + pidx
+
     def family_ids(self, X: np.ndarray, i: int) -> np.ndarray:
         """Global family-counter ids for events ``X`` at node ``i``."""
-        pidx = self.parent_config_index(X, i)
-        return self.fam_offset[i] + pidx * self.cards[i] + X[:, i].astype(np.int64)
+        return self.counter_ids(i, X[:, i], self.parent_config_index(X, i))[0]
 
     def parent_ids(self, X: np.ndarray, i: int) -> np.ndarray:
         """Global parent-counter ids for events ``X`` at node ``i``."""
-        return self.par_offset[i] + self.parent_config_index(X, i)
+        return self.counter_ids(i, X[:, i], self.parent_config_index(X, i))[1]
 
     def all_counter_ids(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(m, n) family and parent counter-id matrices for events ``X``."""
@@ -157,9 +164,9 @@ class BayesNet:
         fam = np.empty((m, self.n), dtype=np.int64)
         par = np.empty((m, self.n), dtype=np.int64)
         for i in range(self.n):
-            pidx = self.parent_config_index(X, i)
-            fam[:, i] = self.fam_offset[i] + pidx * self.cards[i] + X[:, i]
-            par[:, i] = self.par_offset[i] + pidx
+            fam[:, i], par[:, i] = self.counter_ids(
+                i, X[:, i], self.parent_config_index(X, i)
+            )
         return fam, par
 
     def counter_owner(self) -> np.ndarray:

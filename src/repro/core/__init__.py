@@ -6,8 +6,8 @@ distributed stream.
   BASELINE (Sec 4.3), UNIFORM (Sec 4.4), NONUNIFORM (Sec 4.5, Lagrange
   solution Eqs 7-8) and the Naive-Bayes specialization (Eq 9).
 * :mod:`repro.core.model` — Algorithm 3 queries over counter estimates.
-* :mod:`repro.core.learner` — the training loop: Spark micro-batch
-  aggregation feeding the distributed-counter engines.
+* :mod:`repro.core.learner` — the algorithm registry and the
+  ``Learner`` every driver feeds micro-batch aggregates to.
 * :mod:`repro.core.classify` — Bayesian classification (Sec 5.3).
 """
 from repro.core.budget import counter_eps

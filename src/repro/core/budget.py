@@ -30,9 +30,6 @@ import numpy as np
 
 from repro.bayesnet.structure import BayesNet
 
-ALGORITHMS = ("exact", "baseline", "uniform", "nonuniform")
-
-
 def per_variable_eps(net: BayesNet, algo: str, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """``(epsfnA, epsfnB)`` arrays of length ``n`` for a given algorithm."""
     if not (0 < eps < 1):
@@ -72,8 +69,8 @@ def naive_bayes_eps(net: BayesNet, eps: float) -> np.ndarray:
     (sum_{i>=1} J_i^{2/3})^{1/2}``; every parent counter runs at the
     shared-counter error ``eps/(3n)``. The root's own (parentless)
     family/parent counters also use ``eps/(3n)``. The learner maintains
-    one *physical* shared counter per root value; see
-    ``learner.train_many(naive_bayes_shared=True)``.
+    one *physical* shared counter per root value: the ``"nb-shared"``
+    entry of ``learner.ALGORITHMS``.
     """
     if any(p != [0] for p in net.parents[1:]) or net.parents[0]:
         raise ValueError("naive_bayes_eps requires root-0 naive-Bayes structure")

@@ -1,26 +1,46 @@
 """Training orchestration: the distributed stream feeds all algorithms.
 
-``train_many`` runs EXACTMLE / BASELINE / UNIFORM / NONUNIFORM over the
-*same* simulated distributed stream (as the paper's simulator does): the
-per-micro-batch Spark aggregation to ``(counter_id, site, n)`` is
-computed once and fed to every algorithm's counter engine; the engines
-differ only in their per-counter error parameters. The coordinator-side
+Every driver — the batch loop ``train_many`` and the Structured
+Streaming ``foreachBatch`` — feeds one :class:`Learner`. Its engines see
+the *same* per-micro-batch aggregation ``(counter_id, site, n)`` (as the
+paper's simulator does) and differ only in their per-counter error
+parameters, looked up in :data:`ALGORITHMS`. The coordinator-side
 protocol (estimates, rounds, message tally) runs on the driver —
 mirroring the monitoring model's single-coordinator topology.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.bayesnet.cpd import GroundTruth
+from repro.bayesnet.structure import BayesNet
 from repro.core.budget import counter_eps, naive_bayes_eps
 from repro.core.model import CountModel
 from repro.distmon.batch import BatchCounterEngine, ExactCounterEngine
 from repro.stream.aggregate import aggregate_generated, aggregate_local
 from repro.stream.events import batch_ranges
+
+
+class Algorithm(NamedTuple):
+    #: ``(net, eps) -> (n_counters,)`` per-counter error parameters
+    #: (Algorithm 1's ``epsfnA`` / ``epsfnB``); ``None`` for exact counters.
+    counter_eps: Callable[[BayesNet, float], np.ndarray] | None
+    #: Algorithm 4: every leaf's parent counters are one physical counter
+    #: (root-0 Naive-Bayes networks only).
+    shared_parents: bool = False
+
+
+ALGORITHMS: dict[str, Algorithm] = {
+    "exact": Algorithm(None),
+    "baseline": Algorithm(lambda net, eps: counter_eps(net, "baseline", eps)),
+    "uniform": Algorithm(lambda net, eps: counter_eps(net, "uniform", eps)),
+    "nonuniform": Algorithm(lambda net, eps: counter_eps(net, "nonuniform", eps)),
+    "nb-shared": Algorithm(naive_bayes_eps, shared_parents=True),
+}
 
 
 @dataclass
@@ -38,29 +58,80 @@ class TrainResult:
     snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
-def _shared_parent_remap(gt: GroundTruth) -> np.ndarray:
-    """Naive-Bayes shared-counter id remap (Algorithm 4).
+class Learner:
+    """One counter engine per algorithm, all fed the same micro-batches.
 
-    All leaves' parent counters track the same event ``X_0 = x_0``; the
-    optimized algorithm keeps one physical copy. We remap every leaf's
-    parent-counter ids onto leaf 1's block, so the engine maintains (and
-    charges messages for) a single shared counter per root value.
+    Engines are built in ``algos`` order, the ``j``-th with protocol
+    seed ``seed * 1000 + j``.
     """
-    net = gt.net
-    remap = np.arange(net.n_counters, dtype=np.int64)
-    for i in range(2, net.n):
-        lo, hi = net.par_offset[i], net.par_offset[i + 1]
-        remap[lo:hi] = np.arange(net.par_offset[1], net.par_offset[2])
-    return remap
 
+    def __init__(
+        self,
+        net: BayesNet,
+        algos: list[str],
+        *,
+        k: int,
+        eps: float,
+        seed: int,
+        proto_c: float = 1.0,
+        lam: float = 0.5,
+        collect_snapshots: bool = False,
+    ) -> None:
+        unknown = [a for a in algos if a not in ALGORITHMS]
+        if unknown:
+            raise ValueError(f"unknown algorithms {unknown}; known: {list(ALGORITHMS)}")
+        self.net = net
+        self.lam = lam
+        self.collect_snapshots = collect_snapshots
+        self.events = 0
+        self.engines: dict[str, ExactCounterEngine | BatchCounterEngine] = {}
+        for j, algo in enumerate(algos):
+            fn = ALGORITHMS[algo].counter_eps
+            self.engines[algo] = (
+                ExactCounterEngine(net.n_counters)
+                if fn is None
+                else BatchCounterEngine(
+                    fn(net, eps), k, seed=seed * 1000 + j, proto_c=proto_c
+                )
+            )
+        self.results = {algo: TrainResult(algo, None, 0, [(0, 0)]) for algo in algos}  # type: ignore[arg-type]
 
-def _expand_shared(net, values: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    for i in range(2, net.n):
-        out[net.par_offset[i] : net.par_offset[i + 1]] = values[
-            net.par_offset[1] : net.par_offset[2]
-        ]
-    return out
+    def update(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
+        """Feed one micro-batch of ``(counter_id, site, n)`` rows to every
+        engine. Each event increments ``2n`` counters, so the batch holds
+        ``sum(n) / 2n`` events."""
+        self.events += int(n.sum()) // (2 * self.net.n)
+        for algo, eng in self.engines.items():
+            if ALGORITHMS[algo].shared_parents:
+                # Algorithm 4 (Sec 5.2): every leaf's parent counters track
+                # the same event X_0 = x_0, and the physical counter (leaf
+                # 1's block) is incremented once per event. Leaves
+                # 2..n-1's rows repeat those increments, so they are
+                # dropped, not summed.
+                own = cid < self.net.par_offset[min(2, self.net.n)]
+                eng.update(cid[own], sid[own], n[own])
+            else:
+                eng.update(cid, sid, n)
+            res = self.results[algo]
+            res.history.append((self.events, eng.total_messages))
+            if self.collect_snapshots:
+                res.snapshots.append((self.events, self._values(algo)))
+
+    def _values(self, algo: str) -> np.ndarray:
+        vals = self.engines[algo].estimates()
+        if ALGORITHMS[algo].shared_parents:
+            net = self.net
+            block = vals[net.par_offset[1] : net.par_offset[2]]
+            vals[net.par_offset[2] :] = np.tile(block, net.n - 2)
+        return vals
+
+    def models(self) -> dict[str, TrainResult]:
+        """Every algorithm's current model and message tally."""
+        for algo, eng in self.engines.items():
+            res = self.results[algo]
+            res.model = CountModel(self.net, self._values(algo), lam=self.lam)
+            res.total_messages = eng.total_messages
+        return self.results
 
 
 def train_many(
@@ -80,55 +151,21 @@ def train_many(
 ) -> dict[str, TrainResult]:
     """Train every algorithm in ``algos`` over the same ``m``-event stream.
 
-    ``algos`` entries: ``"exact"``, ``"baseline"``, ``"uniform"``,
-    ``"nonuniform"``, or ``"nb-shared"`` (Naive-Bayes Algorithm 4; the
-    network must be a root-0 Naive Bayes). Pass ``spark=None`` to use
-    the driver-side reference aggregation (unit tests / tiny runs).
+    ``algos`` entries are keys of :data:`ALGORITHMS`; ``"nb-shared"``
+    (Naive-Bayes Algorithm 4) needs a root-0 Naive-Bayes network. Pass
+    ``spark=None`` to use the driver-side reference aggregation (unit
+    tests / tiny runs).
     """
-    net = gt.net
-    engines: dict[str, object] = {}
-    remaps: dict[str, np.ndarray | None] = {}
-    for j, algo in enumerate(algos):
-        if algo == "exact":
-            engines[algo] = ExactCounterEngine(net.n_counters)
-            remaps[algo] = None
-        elif algo == "nb-shared":
-            engines[algo] = BatchCounterEngine(
-                naive_bayes_eps(net, eps), k, seed=seed * 1000 + j, proto_c=proto_c
-            )
-            remaps[algo] = _shared_parent_remap(gt)
-        else:
-            engines[algo] = BatchCounterEngine(
-                counter_eps(net, algo, eps), k, seed=seed * 1000 + j, proto_c=proto_c
-            )
-            remaps[algo] = None
-
-    results = {
-        algo: TrainResult(algo, None, 0, [(0, 0)]) for algo in algos  # type: ignore[arg-type]
-    }
+    learner = Learner(
+        gt.net, algos, k=k, eps=eps, seed=seed, proto_c=proto_c, lam=lam,
+        collect_snapshots=collect_snapshots,
+    )
     for lo, hi in batch_ranges(m, first=first_batch):
         if spark is not None:
-            cid, sid, n = aggregate_generated(
+            batch = aggregate_generated(
                 spark, gt, lo, hi, k=k, seed=seed, rows_per_task=rows_per_task
             )
         else:
-            cid, sid, n = aggregate_local(gt, lo, hi, k=k, seed=seed)
-        for algo in algos:
-            eng = engines[algo]
-            rm = remaps[algo]
-            eng.update(rm[cid] if rm is not None else cid, sid, n)
-            results[algo].history.append((hi, eng.total_messages))
-            if collect_snapshots:
-                vals = eng.estimates()
-                if rm is not None:
-                    vals = _expand_shared(net, vals)
-                results[algo].snapshots.append((hi, vals))
-
-    for algo in algos:
-        eng = engines[algo]
-        vals = eng.estimates()
-        if remaps[algo] is not None:
-            vals = _expand_shared(net, vals)
-        results[algo].model = CountModel(net, vals, lam=lam)
-        results[algo].total_messages = eng.total_messages
-    return results
+            batch = aggregate_local(gt, lo, hi, k=k, seed=seed)
+        learner.update(*batch)
+    return learner.models()

@@ -35,12 +35,13 @@ class CountModel:
     def log_factor(self, i: int, xi: np.ndarray, pidx: np.ndarray) -> np.ndarray:
         """``log( A_i(x_i, x_par) / A_i(x_par) )`` with smoothing,
         vectorized over events."""
-        xi = np.asarray(xi, dtype=np.int64)
-        pidx = np.asarray(pidx, dtype=np.int64)
-        fam = self.values[self.net.fam_offset[i] + pidx * self.net.cards[i] + xi]
-        par = self.values[self.net.par_offset[i] + pidx]
+        fam, par = self.net.counter_ids(
+            i, np.asarray(xi, dtype=np.int64), np.asarray(pidx, dtype=np.int64)
+        )
         J = float(self.net.cards[i])
-        return np.log((fam + self.lam) / (par + self.lam * J))
+        return np.log(
+            (self.values[fam] + self.lam) / (self.values[par] + self.lam * J)
+        )
 
     def log_prob(self, X: np.ndarray) -> np.ndarray:
         """Log joint probability of each row of ``X`` (Algorithm 3)."""

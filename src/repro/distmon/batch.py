@@ -86,15 +86,17 @@ class BatchCounterEngine:
     def update(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
         """Apply one micro-batch of aggregated increments.
 
-        ``(cid, sid)`` pairs must be unique within the call (the Spark
-        aggregation guarantees this); ``n`` is the number of increments
-        the pair received in this batch.
+        ``(cid, sid)`` pairs must be unique and in range within the call
+        (raises ``ValueError`` otherwise: a duplicate would keep one write
+        to the site state but charge every copy's messages); ``n`` is the
+        number of increments the pair received in this batch.
         """
         cid = np.asarray(cid, dtype=np.int64)
         sid = np.asarray(sid, dtype=np.int64)
         n = np.asarray(n, dtype=np.int64)
         if len(cid) == 0:
             return
+        self._check_pairs(cid, sid)
         p_rows = self.p[cid]
         fstart = self.f[cid, sid]
         self.f[cid, sid] = fstart + n
@@ -102,14 +104,16 @@ class BatchCounterEngine:
         # Trailing-failure geometric (0 when p == 1: every item reports).
         u = self.rng.random(len(cid))
         sat = p_rows >= 1.0
+        # Capped at n ("no message"), which also maps u = 0 (G = inf) there.
         with np.errstate(divide="ignore"):
             G = np.where(
                 sat,
                 0,
-                np.floor(
-                    np.log(u) / np.log1p(-np.minimum(p_rows, 1.0 - 1e-16))
-                ).astype(np.int64),
-            )
+                np.minimum(
+                    np.floor(np.log(u) / np.log1p(-np.minimum(p_rows, 1.0 - 1e-16))),
+                    n,
+                ),
+            ).astype(np.int64)
         has_msg = G < n
         L = n - G  # position of the last message (1-based), where has_msg
 
@@ -135,6 +139,20 @@ class BatchCounterEngine:
         adv = touched[self.est[touched] >= 2.0 * self.round_est[touched]]
         if len(adv):
             self._advance_round(adv)
+
+    def _check_pairs(self, cid: np.ndarray, sid: np.ndarray) -> None:
+        """Raise unless ids are in range and ``(cid, sid)`` pairs unique.
+
+        O(rows) on the sorted output every aggregation path emits; other
+        input falls back to a sort.
+        """
+        if cid.min() < 0 or cid.max() >= self.nc or sid.min() < 0 or sid.max() >= self.k:
+            raise ValueError("counter or site id out of range")
+        key = cid * self.k + sid
+        if not np.all(key[1:] > key[:-1]):
+            key = np.sort(key)
+            if np.any(key[1:] == key[:-1]):
+                raise ValueError("duplicate (counter, site) pairs in one update")
 
     def _refresh(self, ids: np.ndarray) -> None:
         self.est[ids] = self.sum_r[ids] + self.n_rep[ids] * (

@@ -26,10 +26,11 @@ import numpy as np
 
 from repro.bayesnet import networks
 from repro.core import classify
-from repro.core.learner import TrainResult, train_many
+from repro.core.learner import ALGORITHMS, TrainResult, train_many
 from repro.core.model import CountModel, mean_abs_ratio_error
 
-ALGOS = ["exact", "baseline", "uniform", "nonuniform"]
+#: The four algorithms of the paper's tables (Algorithm 4 is Naive-Bayes only).
+ALGOS = [a for a, spec in ALGORITHMS.items() if not spec.shared_parents]
 NETWORKS = ["alarm", "hepar2", "link", "munin"]
 
 # ----------------------------------------------------------------- paper

@@ -37,9 +37,7 @@ def _agg_kernel(
     keys = np.empty(2 * net.n * m, dtype=np.int64)
     s64 = sites.astype(np.int64)
     for i in range(net.n):
-        pidx = net.parent_config_index(X, i)
-        fam = net.fam_offset[i] + pidx * net.cards[i] + X[:, i].astype(np.int64)
-        par = net.par_offset[i] + pidx
+        fam, par = net.counter_ids(i, X[:, i], net.parent_config_index(X, i))
         keys[2 * i * m : (2 * i + 1) * m] = fam * k + s64
         keys[(2 * i + 1) * m : (2 * i + 2) * m] = par * k + s64
     return np.unique(keys, return_counts=True)

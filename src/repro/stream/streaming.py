@@ -6,10 +6,11 @@ coordinator update running under a real Structured Streaming query: the
 event stream is staged as one parquet file per micro-batch, read with
 ``readStream`` (``maxFilesPerTrigger=1`` so Spark's micro-batches align
 with the protocol's), and every micro-batch is aggregated and fed to the
-counter engines inside ``foreachBatch``.
+same :class:`~repro.core.learner.Learner` inside ``foreachBatch``.
 
 Used by ``jobs/streaming_demo.py`` and the streaming integration test,
-which asserts the resulting exact counts equal the batch-loop path's.
+which asserts every algorithm's messages, history and model equal the
+batch-loop path's.
 """
 from __future__ import annotations
 
@@ -17,12 +18,9 @@ import os
 
 import numpy as np
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.bayesnet.cpd import GroundTruth
-from repro.core.budget import counter_eps
-from repro.core.model import CountModel
-from repro.distmon.batch import BatchCounterEngine, ExactCounterEngine
+from repro.core.learner import Learner, TrainResult
 from repro.stream.aggregate import _agg_kernel
 from repro.stream.events import batch_ranges, events_pandas
 
@@ -63,25 +61,20 @@ def run_streaming_learner(
     algos: list[str],
     seed: int,
     proto_c: float = 1.0,
-) -> dict[str, tuple[CountModel, int]]:
+) -> dict[str, TrainResult]:
     """Consume the staged stream with a Structured Streaming query.
 
-    Returns ``{algo: (model, total_messages)}`` once the query drains
-    (``availableNow`` trigger). Each invocation uses a fresh checkpoint
-    so re-running over the same staged stream replays it from the start.
+    Every micro-batch feeds the same :class:`~repro.core.learner.Learner`
+    as ``train_many``, so with the stream staged at ``seed`` the results
+    equal ``train_many(None, gt, algos, seed=seed, ...)``'s. Returns once
+    the query drains (``availableNow`` trigger). Each invocation uses a
+    fresh checkpoint so re-running over the same staged stream replays it
+    from the start.
     """
     import tempfile
 
     net = gt.net
-    engines: dict[str, object] = {}
-    for j, algo in enumerate(algos):
-        if algo == "exact":
-            engines[algo] = ExactCounterEngine(net.n_counters)
-        else:
-            engines[algo] = BatchCounterEngine(
-                counter_eps(net, algo, eps), k, seed=seed * 1000 + j, proto_c=proto_c
-            )
-
+    learner = Learner(net, algos, k=k, eps=eps, seed=seed, proto_c=proto_c)
     schema = spark.read.parquet(os.path.join(stream_dir, "b00000.parquet")).schema
     vcols = [f"v{i}" for i in range(net.n)]
 
@@ -92,9 +85,7 @@ def run_streaming_learner(
         X = pdf[vcols].to_numpy(dtype=np.int32)
         sites = pdf["site"].to_numpy(dtype=np.int64)
         keys, cnts = _agg_kernel(net, X, sites, k)
-        cid, sid = keys // k, keys % k
-        for eng in engines.values():
-            eng.update(cid, sid, cnts.astype(np.int64))
+        learner.update(keys // k, keys % k, cnts.astype(np.int64))
 
     q = (
         spark.readStream.schema(schema)
@@ -109,7 +100,4 @@ def run_streaming_learner(
         .start()
     )
     q.awaitTermination()
-    return {
-        a: (CountModel(net, eng.estimates()), eng.total_messages)
-        for a, eng in engines.items()
-    }
+    return learner.models()

@@ -79,6 +79,54 @@ class TestEngineBasics:
         np.testing.assert_array_equal(e1, e2)
 
 
+class TestUpdatePrecondition:
+    """``update`` rejects input that would corrupt the engine state."""
+
+    @pytest.mark.parametrize(
+        "cid, sid",
+        [
+            ([0, 1, 1], [2, 0, 0]),  # sorted, duplicate pair
+            ([1, 0, 1], [0, 2, 0]),  # unsorted, duplicate pair
+            ([-1, 0], [0, 0]),  # negative counter id (would wrap around)
+            ([0, 3], [0, 0]),  # counter id past n_counters
+            ([0, 1], [0, -1]),  # negative site
+            ([0, 1], [0, 4]),  # site id past k
+        ],
+    )
+    def test_rejects_bad_pairs(self, cid, sid):
+        e = single(nc=3, k=4)
+        with pytest.raises(ValueError):
+            e.update(np.array(cid), np.array(sid), np.ones(len(cid), dtype=np.int64))
+        assert e.total_messages == 0 and not e.f.any()
+
+    def test_accepts_unique_unsorted_pairs(self):
+        e = single(nc=3, k=4)
+        e.update(np.array([2, 0, 1, 0]), np.array([0, 3, 1, 0]), np.full(4, 5))
+        assert e.exact_counts().tolist() == [10, 5, 5]
+
+
+class TestGeometricDraw:
+    def test_u_zero_means_no_message(self):
+        """u = 0 in the trailing-failure draw gives G = inf: no message,
+        not a negative binomial size."""
+
+        class ZeroUniforms:
+            def random(self, size):
+                return np.zeros(size)
+
+            def binomial(self, n, p):
+                raise AssertionError("no message, so no binomial draw")
+
+        e = single(nc=2, k=1)
+        e.p[:] = 0.5
+        e.round_est[:] = 1e18  # freeze rounds: test the batch kernel alone
+        e.rng = ZeroUniforms()
+        e.update(np.array([0, 1]), np.array([0, 0]), np.array([1, 7]))
+        assert e.total_messages == 0
+        assert e.exact_counts().tolist() == [1, 7]
+        assert e.r.sum() == 0
+
+
 class TestDecompositionExactness:
     """The (Geometric suffix, Binomial prefix) sampling must reproduce the
     per-item Bernoulli process exactly: message probability, message

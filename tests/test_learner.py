@@ -10,9 +10,10 @@ import pytest
 from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
 from repro.core import classify
-from repro.core.learner import train_many
+from repro.core.learner import Learner, train_many
 from repro.core.model import mean_abs_ratio_error
 from repro.stream.aggregate import aggregate_local
+from repro.stream.events import batch_ranges
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +206,20 @@ class TestNaiveBayesShared:
             res["nb-shared"].model.log_prob(Xt), res["exact"].model.log_prob(Xt)
         )
         assert err <= np.expm1(0.1)
+
+    def test_shared_counter_charged_once_per_increment(self):
+        """Sec 5.2: the shared parent counter is one physical counter,
+        incremented once per event, so no counter of nb-shared can send
+        more messages than it received increments."""
+        net = networks.naive_bayes(12, J_root=4, J_leaf=3)
+        gt = GroundTruth.random(net, seed=20, alpha=0.5)
+        learner = Learner(net, ["nb-shared"], k=10, eps=0.1, seed=21)
+        for lo, hi in batch_ranges(20_000, first=1024):
+            learner.update(*aggregate_local(gt, lo, hi, k=10, seed=21))
+        eng = learner.engines["nb-shared"]
+        assert np.all(eng.messages <= eng.exact_counts())
+        shared = slice(net.par_offset[1], net.par_offset[2])
+        assert eng.exact_counts()[shared].sum() == 20_000
 
     def test_shared_parent_blocks_identical(self):
         net = networks.naive_bayes(6, J_root=3, J_leaf=2)

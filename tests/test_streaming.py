@@ -5,7 +5,7 @@ import pytest
 
 from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
-from repro.core.learner import train_many
+from repro.core.learner import ALGORITHMS, train_many
 from repro.stream.streaming import run_streaming_learner, stage_stream
 
 
@@ -15,6 +15,14 @@ def staged(spark, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("stream"))
     n_batches = stage_stream(spark, gt, d, m=3000, k=4, seed=42, first_batch=512)
     return gt, d, n_batches
+
+
+@pytest.fixture(scope="module")
+def staged_naive_bayes(spark, tmp_path_factory):
+    gt = GroundTruth.random(networks.naive_bayes(5, J_root=3, J_leaf=2), seed=45)
+    d = str(tmp_path_factory.mktemp("stream-nb"))
+    stage_stream(spark, gt, d, m=6000, k=4, seed=46, first_batch=512)
+    return gt, d
 
 
 class TestStructuredStreaming:
@@ -31,18 +39,19 @@ class TestStructuredStreaming:
         out = run_streaming_learner(
             spark, gt, d, k=4, eps=0.1, algos=["exact"], seed=43
         )
-        model, messages = out["exact"]
         ref = train_many(None, gt, ["exact"], m=3000, k=4, eps=0.1, seed=42)
-        np.testing.assert_array_equal(model.values, ref["exact"].model.values)
-        assert messages == ref["exact"].total_messages
+        np.testing.assert_array_equal(
+            out["exact"].model.values, ref["exact"].model.values
+        )
+        assert out["exact"].total_messages == ref["exact"].total_messages
 
     def test_approx_engine_runs_under_streaming(self, spark, staged):
         gt, d, _ = staged
         out = run_streaming_learner(
             spark, gt, d, k=4, eps=0.2, algos=["uniform"], seed=44, proto_c=0.1
         )
-        model, messages = out["uniform"]
-        assert messages > 0
+        model = out["uniform"].model
+        assert out["uniform"].total_messages > 0
         exact = train_many(None, gt, ["exact"], m=3000, k=4, eps=0.2, seed=42)
         rel = np.abs(model.values - exact["exact"].model.values)
         big = exact["exact"].model.values >= 500
@@ -50,3 +59,16 @@ class TestStructuredStreaming:
             assert (
                 rel[big] / exact["exact"].model.values[big]
             ).max() < 0.5
+
+    def test_every_algorithm_matches_batch_loop(self, spark, staged_naive_bayes):
+        """Streaming and the batch loop feed the same Learner: messages,
+        history and model values agree for every registered algorithm."""
+        gt, d = staged_naive_bayes
+        algos = list(ALGORITHMS)
+        kw = dict(k=4, eps=0.1, seed=46, proto_c=0.1)
+        out = run_streaming_learner(spark, gt, d, algos=algos, **kw)
+        ref = train_many(None, gt, algos, m=6000, first_batch=512, **kw)
+        for a in algos:
+            assert out[a].total_messages == ref[a].total_messages, a
+            assert out[a].history == ref[a].history, a
+            np.testing.assert_array_equal(out[a].model.values, ref[a].model.values)

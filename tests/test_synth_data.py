@@ -1,32 +1,9 @@
-"""Tests for the synth_data generators (provided TPC-H-lite + the
-paper's BN event-stream extension), with oracle checks on aggregations."""
+"""Tests for the synth_data BN event-stream generator, with an oracle
+check on its aggregation."""
 import pytest
 
 from repro import oracle, synth_data
 from repro.bayesnet import networks
-
-
-class TestTpchLite:
-    def test_lineitem_aggregation_oracle(self, spark):
-        """Sanity-check the provided scaffolding: a Spark group-by over
-        lineitem matches DuckDB."""
-        from pyspark.sql import functions as F
-
-        li = synth_data.lineitem(spark, sf=0.001, seed=0)
-        got = li.groupBy("l_returnflag").agg(
-            F.sum("l_quantity").alias("qty"), F.count("*").alias("cnt")
-        )
-        oracle.assert_equivalent(
-            got,
-            "SELECT l_returnflag, SUM(l_quantity) AS qty, COUNT(*) AS cnt "
-            "FROM li GROUP BY l_returnflag",
-            li=li,
-        )
-
-    def test_deterministic(self, spark):
-        a = synth_data.orders(spark, sf=0.001, seed=3).toPandas()
-        b = synth_data.orders(spark, sf=0.001, seed=3).toPandas()
-        assert a.equals(b)
 
 
 class TestBnEvents:
