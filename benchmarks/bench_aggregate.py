@@ -19,7 +19,8 @@ def test_bench_spark_aggregation_alarm_50k(benchmark, spark):
     cid, sid, n = benchmark.pedantic(run, rounds=1, iterations=1)
     assert n.sum() == 2 * gt.net.n * 50_000
     ref = aggregate_local(gt, 0, 50_000, k=30, seed=5)
-    np.testing.assert_array_equal(cid, ref[0])
+    for got, want in zip((cid, sid, n), ref, strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_bench_spark_aggregation_munin_10k(benchmark, spark):

@@ -99,7 +99,9 @@ class Learner:
     def update(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
         """Feed one micro-batch of ``(counter_id, site, n)`` rows to every
         engine. Each event increments ``2n`` counters, so the batch holds
-        ``sum(n) / 2n`` events."""
+        ``sum(n) / 2n`` events; an empty batch adds no history point."""
+        if not len(cid):
+            return
         self.events += int(n.sum()) // (2 * self.net.n)
         for algo, eng in self.engines.items():
             if ALGORITHMS[algo].shared_parents:
@@ -144,7 +146,6 @@ def train_many(
     eps: float,
     seed: int,
     first_batch: int = 1024,
-    rows_per_task: int = 16384,
     collect_snapshots: bool = False,
     lam: float = 0.5,
     proto_c: float = 1.0,
@@ -162,9 +163,7 @@ def train_many(
     )
     for lo, hi in batch_ranges(m, first=first_batch):
         if spark is not None:
-            batch = aggregate_generated(
-                spark, gt, lo, hi, k=k, seed=seed, rows_per_task=rows_per_task
-            )
+            batch = aggregate_generated(spark, gt, lo, hi, k=k, seed=seed)
         else:
             batch = aggregate_local(gt, lo, hi, k=k, seed=seed)
         learner.update(*batch)

@@ -26,6 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def _check_range(ids: np.ndarray, size: int, what: str) -> None:
+    """Raise unless every id lies in ``[0, size)``."""
+    if len(ids) and (ids.min() < 0 or ids.max() >= size):
+        raise ValueError(f"{what} id out of range")
+
+
 class ExactCounterEngine:
     """EXACTMLE's counters: exact values, one message per increment."""
 
@@ -34,6 +40,8 @@ class ExactCounterEngine:
         self.total_messages = 0
 
     def update(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
+        """Add ``n`` to counters ``cid`` (repeats sum); ids must be in range."""
+        _check_range(cid, len(self.counts), "counter")
         np.add.at(self.counts, cid, n)
         self.total_messages += int(n.sum())
 
@@ -146,8 +154,8 @@ class BatchCounterEngine:
         O(rows) on the sorted output every aggregation path emits; other
         input falls back to a sort.
         """
-        if cid.min() < 0 or cid.max() >= self.nc or sid.min() < 0 or sid.max() >= self.k:
-            raise ValueError("counter or site id out of range")
+        _check_range(cid, self.nc, "counter")
+        _check_range(sid, self.k, "site")
         key = cid * self.k + sid
         if not np.all(key[1:] > key[:-1]):
             key = np.sort(key)

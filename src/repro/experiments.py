@@ -91,9 +91,7 @@ def get_spark():
 
     return (
         SparkSession.builder.appName("repro-jobs")
-        .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
 

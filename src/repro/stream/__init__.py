@@ -1,10 +1,11 @@
 """Distributed-stream dataflow on Spark.
 
 The union-of-streams is modeled as a deterministic event sequence with a
-uniformly random site per event (paper Section 6.1). Spark does the
-site-side heavy lifting: generating each micro-batch's events inside
-partitions and aggregating them to per-(counter, site) increment counts;
-the coordinator protocol consumes those aggregates on the driver.
+uniformly random site per event (paper Section 6.1). Spark tasks do the
+site-side work: each generates a chunk-aligned slice of a micro-batch's
+events and aggregates it to per-(counter, site) increment counts. The
+driver merges the tasks' partials, with no shuffle, and runs the
+coordinator protocol on them.
 """
 from repro.stream.events import batch_ranges, events_pandas
 from repro.stream.aggregate import (

@@ -3,15 +3,18 @@
 Each event increments ``2n`` counters (one family + one parent counter
 per variable). Per micro-batch we only need, for every (counter, site)
 pair, *how many* increments it received — the batched protocol engine is
-exact given those counts (see ``distmon.batch``). Three code paths share
-one numpy kernel:
+exact given those counts (see ``distmon.batch``). As in the monitoring
+model, sites work locally and one coordinator combines what they send:
+each site-side slice runs one numpy kernel and the driver sums the
+partials in one reduce, with no shuffle. Three paths, all returning
+numpy ``(counter_id, site, n)`` sorted by key:
 
-* :func:`aggregate_events_df` — from an explicit Spark events DataFrame;
-  its output is verified row-for-row against an independent DuckDB SQL
-  computation (:func:`duckdb_counts_sql`) by the oracle tests.
-* :func:`aggregate_generated` — Spark partitions generate their slice of
-  the stream deterministically and aggregate in place, so the raw stream
-  (e.g. 50K x 1041 variables for MUNIN) never materializes.
+* :func:`aggregate_generated` — chunk-aligned Spark tasks generate their
+  slice of the stream deterministically and aggregate it in place, so the
+  raw stream (e.g. 50K x 1041 variables for MUNIN) never materializes.
+* :func:`aggregate_events_df` — from an explicit Spark events DataFrame
+  (oracle tests, Structured Streaming); verified row-for-row against an
+  independent DuckDB SQL computation (:func:`duckdb_counts_sql`).
 * :func:`aggregate_local` — driver-side numpy reference, used by unit
   tests to prove the Spark paths agree with it bit-for-bit.
 """
@@ -22,11 +25,13 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.bayesnet.cpd import GroundTruth
-from repro.bayesnet.sampling import sample_events, sample_sites
+from repro.bayesnet.sampling import CHUNK, sample_events, sample_sites
 from repro.bayesnet.structure import BayesNet
+
+
+Counts = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _agg_kernel(
@@ -43,66 +48,68 @@ def _agg_kernel(
     return np.unique(keys, return_counts=True)
 
 
-def aggregate_local(
-    gt: GroundTruth, lo: int, hi: int, *, k: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Driver-side reference aggregation of stream events ``[lo, hi)``."""
-    X = sample_events(gt, lo, hi, seed=seed)
-    sites = sample_sites(lo, hi, k=k, seed=seed)
-    keys, cnts = _agg_kernel(gt.net, X, sites, k)
+def _split(keys: np.ndarray, cnts: np.ndarray, k: int) -> Counts:
+    """Sorted fused keys and their counts -> ``(counter_id, site, n)``."""
     return keys // k, keys % k, cnts.astype(np.int64)
 
 
+def _merge(parts: list[tuple[np.ndarray, np.ndarray]], k: int) -> Counts:
+    """The coordinator's reduce: sum the partial ``(keys, cnts)`` per key."""
+    empty = np.empty(0, dtype=np.int64)
+    keys = np.concatenate([empty, *(p[0] for p in parts)])
+    cnts = np.concatenate([empty, *(p[1] for p in parts)])
+    keys, inv = np.unique(keys, return_inverse=True)
+    # float64 weights sum integer counts exactly below 2**53.
+    return _split(keys, np.bincount(inv, weights=cnts, minlength=len(keys)), k)
+
+
+def _task_bounds(lo: int, hi: int, slots: int) -> list[tuple[int, int]]:
+    """Cut ``[lo, hi)`` at ``CHUNK`` boundaries into at most ``slots``
+    slices of whole chunks, as even as the cut allows, so no two tasks
+    sample the same chunk prefix."""
+    if hi <= lo:
+        return []
+    edges = [lo, *range((lo // CHUNK + 1) * CHUNK, hi, CHUNK), hi]
+    chunks = len(edges) - 1
+    n = min(slots, chunks)
+    cuts = [edges[j * chunks // n] for j in range(n + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def aggregate_local(gt: GroundTruth, lo: int, hi: int, *, k: int, seed: int) -> Counts:
+    """Driver-side reference aggregation of stream events ``[lo, hi)``."""
+    X = sample_events(gt, lo, hi, seed=seed)
+    sites = sample_sites(lo, hi, k=k, seed=seed)
+    return _split(*_agg_kernel(gt.net, X, sites, k), k)
+
+
 def aggregate_generated(
-    spark: SparkSession,
-    gt: GroundTruth,
-    lo: int,
-    hi: int,
-    *,
-    k: int,
-    seed: int,
-    rows_per_task: int = 16384,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    spark: SparkSession, gt: GroundTruth, lo: int, hi: int, *, k: int, seed: int
+) -> Counts:
     """Spark aggregation with partition-local stream generation.
 
-    Each task generates and aggregates one contiguous slice of the
-    stream (deterministic in ``(seed, slice)`` — see ``sampling``), then
-    a ``groupBy(key).sum`` merges task partials. Returns numpy arrays
-    ``(counter_id, site, n)`` for the coordinator.
+    ``[lo, hi)`` is cut into at most ``defaultParallelism`` tasks; each
+    generates and aggregates its slice of the stream (deterministic in
+    ``(seed, slice)`` — see ``sampling``) and returns its kernel partial
+    to the driver, which merges them.
     """
-    bounds = list(range(lo, hi, rows_per_task)) + [hi]
-    tasks = pd.DataFrame(
-        {"lo": bounds[:-1], "hi": bounds[1:]}
-    )
-    net = gt.net
+    sc = spark.sparkContext
+    bounds = _task_bounds(lo, hi, sc.defaultParallelism)
 
-    def gen_agg(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            for a, b in zip(pdf["lo"], pdf["hi"]):
-                X = sample_events(gt, int(a), int(b), seed=seed)
-                sites = sample_sites(int(a), int(b), k=k, seed=seed)
-                keys, cnts = _agg_kernel(net, X, sites, k)
-                yield pd.DataFrame({"key": keys, "cnt": cnts.astype(np.int64)})
+    def site_task(part: Iterator[tuple[int, int]]):
+        for a, b in part:
+            X = sample_events(gt, a, b, seed=seed)
+            yield _agg_kernel(gt.net, X, sample_sites(a, b, k=k, seed=seed), k)
 
-    sdf = spark.createDataFrame(tasks).repartition(len(tasks))
-    out = (
-        sdf.mapInPandas(gen_agg, schema="key long, cnt long")
-        .groupBy("key")
-        .agg(F.sum("cnt").alias("cnt"))
-        .toPandas()
-    )
-    keys = out["key"].to_numpy(dtype=np.int64)
-    cnts = out["cnt"].to_numpy(dtype=np.int64)
-    order = np.argsort(keys)
-    keys, cnts = keys[order], cnts[order]
-    return keys // k, keys % k, cnts
+    parts = sc.parallelize(bounds, len(bounds) or 1).mapPartitions(site_task).collect()
+    return _merge(parts, k)
 
 
 def aggregate_events_df(
     spark: SparkSession, net: BayesNet, events_df: DataFrame, *, k: int
-) -> DataFrame:
-    """Aggregate an explicit events DataFrame (cols ``site, v0..v{n-1}``)
-    to a ``(counter_id, site, n)`` DataFrame — the oracle-checkable path."""
+) -> Counts:
+    """Aggregate an explicit events DataFrame (cols ``site, v0..v{n-1}``):
+    each Arrow batch's kernel partial is collected and merged on the driver."""
     vcols = [f"v{i}" for i in range(net.n)]
 
     def agg(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -114,16 +121,8 @@ def aggregate_events_df(
             keys, cnts = _agg_kernel(net, X, sites, k)
             yield pd.DataFrame({"key": keys, "cnt": cnts.astype(np.int64)})
 
-    return (
-        events_df.mapInPandas(agg, schema="key long, cnt long")
-        .groupBy("key")
-        .agg(F.sum("cnt").alias("n"))
-        .select(
-            (F.col("key") / k).cast("long").alias("counter_id"),
-            (F.col("key") % k).alias("site"),
-            "n",
-        )
-    )
+    pdf = events_df.mapInPandas(agg, schema="key long, cnt long").toPandas()
+    return _merge([(pdf["key"].to_numpy(np.int64), pdf["cnt"].to_numpy(np.int64))], k)
 
 
 def duckdb_counts_sql(net: BayesNet) -> str:

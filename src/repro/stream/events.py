@@ -18,6 +18,8 @@ from repro.bayesnet.sampling import sample_events, sample_sites
 
 def batch_ranges(m: int, *, first: int = 1024) -> list[tuple[int, int]]:
     """Doubling micro-batch boundaries covering ``[0, m)``."""
+    if first < 1:
+        raise ValueError(f"first batch must hold at least one event, got {first}")
     if m <= 0:
         return []
     out: list[tuple[int, int]] = []

@@ -5,8 +5,9 @@ loop (semantically ``foreachBatch``). This module shows the same
 coordinator update running under a real Structured Streaming query: the
 event stream is staged as one parquet file per micro-batch, read with
 ``readStream`` (``maxFilesPerTrigger=1`` so Spark's micro-batches align
-with the protocol's), and every micro-batch is aggregated and fed to the
-same :class:`~repro.core.learner.Learner` inside ``foreachBatch``.
+with the protocol's), and inside ``foreachBatch`` every micro-batch is
+aggregated by :func:`~repro.stream.aggregate.aggregate_events_df` and fed
+to the same :class:`~repro.core.learner.Learner`.
 
 Used by ``jobs/streaming_demo.py`` and the streaming integration test,
 which asserts every algorithm's messages, history and model equal the
@@ -16,12 +17,11 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.bayesnet.cpd import GroundTruth
 from repro.core.learner import Learner, TrainResult
-from repro.stream.aggregate import _agg_kernel
+from repro.stream.aggregate import aggregate_events_df
 from repro.stream.events import batch_ranges, events_pandas
 
 
@@ -73,19 +73,11 @@ def run_streaming_learner(
     """
     import tempfile
 
-    net = gt.net
-    learner = Learner(net, algos, k=k, eps=eps, seed=seed, proto_c=proto_c)
+    learner = Learner(gt.net, algos, k=k, eps=eps, seed=seed, proto_c=proto_c)
     schema = spark.read.parquet(os.path.join(stream_dir, "b00000.parquet")).schema
-    vcols = [f"v{i}" for i in range(net.n)]
 
     def on_batch(batch_df, batch_id: int) -> None:
-        pdf = batch_df.orderBy("event_id").toPandas()
-        if not len(pdf):
-            return
-        X = pdf[vcols].to_numpy(dtype=np.int32)
-        sites = pdf["site"].to_numpy(dtype=np.int64)
-        keys, cnts = _agg_kernel(net, X, sites, k)
-        learner.update(keys // k, keys % k, cnts.astype(np.int64))
+        learner.update(*aggregate_events_df(spark, gt.net, batch_df, k=k))
 
     q = (
         spark.readStream.schema(schema)

@@ -3,22 +3,40 @@
 Every result-producing Spark aggregation is verified with
 ``repro.oracle.assert_equivalent`` running independent SQL over the same
 input events — catching any error in the counter-id arithmetic, the
-mapInPandas kernel, or the groupBy merge, not just "it ran".
+site-side kernel, or the driver-side merge of the sites' partials, not
+just "it ran". The chunk-aligned task cutter is property-tested.
 """
+from unittest import mock
+
 import numpy as np
+import pandas as pd
 import pytest
-from pyspark.sql import functions as F
+from hypothesis import example, given, strategies as st
 
 from repro import oracle
 from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
+from repro.bayesnet.sampling import CHUNK
+from repro.stream import aggregate
 from repro.stream.aggregate import (
+    _task_bounds,
     aggregate_events_df,
     aggregate_generated,
     aggregate_local,
     duckdb_counts_sql,
 )
 from repro.stream.events import events_pandas
+
+
+def rows(batch) -> pd.DataFrame:
+    """A ``(counter_id, site, n)`` triple as the oracle's row frame."""
+    return pd.DataFrame(dict(zip(["counter_id", "site", "n"], batch)))
+
+
+def assert_same(a, b) -> None:
+    for x, y in zip(a, b, strict=True):
+        assert x.dtype == y.dtype == np.int64
+        np.testing.assert_array_equal(x, y)
 
 
 @pytest.fixture(scope="module")
@@ -32,57 +50,93 @@ def gt():
 class TestOracle:
     def test_spark_counts_match_duckdb(self, spark, gt):
         """The full Spark path (events DF -> mapInPandas kernel ->
-        groupBy) equals DuckDB's independent GROUP BY over the same
-        events table."""
+        driver-side merge) equals DuckDB's independent GROUP BY over the
+        same events table."""
         events = events_pandas(gt, 0, 4000, k=5, seed=7)
         sdf = spark.createDataFrame(events)
-        got = aggregate_events_df(spark, gt.net, sdf, k=5)
+        got = rows(aggregate_events_df(spark, gt.net, sdf, k=5))
         oracle.assert_equivalent(got, duckdb_counts_sql(gt.net), events=events)
 
     def test_oracle_on_chain_network(self, spark):
         g = GroundTruth.random(networks.chain(4, J=3), seed=5)
         events = events_pandas(g, 0, 2500, k=3, seed=8)
         sdf = spark.createDataFrame(events)
-        got = aggregate_events_df(spark, g.net, sdf, k=3)
+        got = rows(aggregate_events_df(spark, g.net, sdf, k=3))
         oracle.assert_equivalent(got, duckdb_counts_sql(g.net), events=events)
 
     def test_oracle_catches_wrong_result(self, spark, gt):
         """Negative control: a corrupted aggregation must fail the oracle."""
         events = events_pandas(gt, 0, 500, k=3, seed=9)
         sdf = spark.createDataFrame(events)
-        bad = aggregate_events_df(spark, gt.net, sdf, k=3).withColumn(
-            "n", F.col("n") + 1
-        )
+        got = rows(aggregate_events_df(spark, gt.net, sdf, k=3))
+        bad = got.assign(n=got["n"] + 1)
         with pytest.raises(AssertionError):
             oracle.assert_equivalent(bad, duckdb_counts_sql(gt.net), events=events)
 
 
+class TestTaskBounds:
+    @given(
+        lo=st.integers(0, 5 * CHUNK),
+        size=st.integers(0, 10 * CHUNK),
+        slots=st.sampled_from([1, 2, 4, 64]),
+    )
+    @example(lo=100, size=3 * CHUNK + 400, slots=4)  # unaligned lo
+    @example(lo=CHUNK + 7, size=CHUNK // 2, slots=4)  # shorter than CHUNK
+    @example(lo=2 * CHUNK, size=0, slots=2)  # empty range
+    def test_chunk_aligned_tiling(self, lo, size, slots):
+        hi = lo + size
+        bounds = _task_bounds(lo, hi, slots)
+        if size == 0:
+            assert bounds == []
+            return
+        assert bounds[0][0] == lo and bounds[-1][1] == hi
+        for (_, b), (c, _) in zip(bounds, bounds[1:]):
+            assert b == c and b % CHUNK == 0
+        assert all(a < b for a, b in bounds)
+        # As many tasks as the slots and the chunks allow, evenly loaded.
+        chunks = [(b - 1) // CHUNK - a // CHUNK + 1 for a, b in bounds]
+        assert len(bounds) == min(slots, sum(chunks))
+        assert max(chunks) - min(chunks) <= 1
+
+
 class TestPathAgreement:
     def test_generated_equals_local(self, spark, gt):
-        """Spark partition-local generation == driver reference, exactly."""
-        a = aggregate_generated(spark, gt, 0, 5000, k=5, seed=11, rows_per_task=700)
-        b = aggregate_local(gt, 0, 5000, k=5, seed=11)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        """Spark partition-local generation over several chunk-aligned
+        tasks == driver reference, exactly, on any number of cores."""
+        lo, hi = 100, 3 * CHUNK + 500
+        cuts = []
+
+        def four_slots(lo, hi, slots):
+            cuts.append(_task_bounds(lo, hi, 4))
+            return cuts[-1]
+
+        with mock.patch.object(aggregate, "_task_bounds", four_slots):
+            got = aggregate_generated(spark, gt, lo, hi, k=5, seed=11)
+        assert len(cuts[0]) == 4
+        assert_same(got, aggregate_local(gt, lo, hi, k=5, seed=11))
 
     def test_generated_partition_split_invariant(self, spark, gt):
-        a = aggregate_generated(spark, gt, 0, 3000, k=4, seed=12, rows_per_task=500)
-        b = aggregate_generated(spark, gt, 0, 3000, k=4, seed=12, rows_per_task=3000)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        """A range inside one chunk is one task, and still equals the
+        driver reference."""
+        lo, hi = CHUNK + 10, CHUNK + 3000
+        assert len(_task_bounds(lo, hi, spark.sparkContext.defaultParallelism)) == 1
+        assert_same(
+            aggregate_generated(spark, gt, lo, hi, k=4, seed=12),
+            aggregate_local(gt, lo, hi, k=4, seed=12),
+        )
+
+    def test_generated_empty_range(self, spark, gt):
+        out = aggregate_generated(spark, gt, 700, 700, k=4, seed=12)
+        assert [a.dtype for a in out] == [np.int64] * 3
+        assert all(len(a) == 0 for a in out)
 
     def test_events_df_equals_local(self, spark, gt):
         events = events_pandas(gt, 0, 2000, k=4, seed=13)
         sdf = spark.createDataFrame(events)
-        pdf = (
-            aggregate_events_df(spark, gt.net, sdf, k=4)
-            .toPandas()
-            .sort_values(["counter_id", "site"])
+        assert_same(
+            aggregate_events_df(spark, gt.net, sdf, k=4),
+            aggregate_local(gt, 0, 2000, k=4, seed=13),
         )
-        cid, sid, n = aggregate_local(gt, 0, 2000, k=4, seed=13)
-        np.testing.assert_array_equal(pdf["counter_id"].to_numpy(), cid)
-        np.testing.assert_array_equal(pdf["site"].to_numpy(), sid)
-        np.testing.assert_array_equal(pdf["n"].to_numpy(), n)
 
 
 class TestAggregateInvariants:

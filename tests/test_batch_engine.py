@@ -19,6 +19,19 @@ class TestExactEngine:
         assert e.estimates().tolist() == [5.0, 0.0, 8.0]
         assert e.total_messages == 13
 
+    def test_sums_repeated_ids(self):
+        e = ExactCounterEngine(3)
+        e.update(np.array([1, 1]), np.array([0, 0]), np.array([2, 3]))
+        assert e.estimates().tolist() == [0.0, 5.0, 0.0]
+
+    @pytest.mark.parametrize("cid", [[-1, 0], [0, 3]])
+    def test_rejects_out_of_range_ids(self, cid):
+        """A negative id would wrap around onto the last counter."""
+        e = ExactCounterEngine(3)
+        with pytest.raises(ValueError):
+            e.update(np.array(cid), np.zeros(2, dtype=np.int64), np.ones(2, dtype=np.int64))
+        assert not e.counts.any() and e.total_messages == 0
+
 
 class TestEngineBasics:
     def test_rejects_nonpositive_eps(self):

@@ -26,6 +26,12 @@ class TestBatchRanges:
     def test_empty_stream(self):
         assert batch_ranges(0) == []
 
+    @pytest.mark.parametrize("first", [0, -5])
+    def test_rejects_empty_first_batch(self, first):
+        """A first batch of no events never doubles: the loop would not end."""
+        with pytest.raises(ValueError):
+            batch_ranges(10, first=first)
+
     @pytest.mark.parametrize("m", [1, 7, 1024, 12345])
     def test_total_events(self, m):
         r = batch_ranges(m, first=64)

@@ -15,11 +15,10 @@ def spark_runs(spark):
         spark,
         gt,
         ["exact", "baseline", "uniform", "nonuniform"],
-        m=8_000,
+        m=20_000,
         k=10,
         eps=0.1,
         seed=31,
-        rows_per_task=1500,
     )
     return gt, res
 
@@ -30,7 +29,7 @@ class TestSparkTraining:
         counters match the driver-side reference run bit-for-bit."""
         gt, res = spark_runs
         local = train_many(
-            None, gt, ["exact"], m=8_000, k=10, eps=0.1, seed=31
+            None, gt, ["exact"], m=20_000, k=10, eps=0.1, seed=31
         )
         np.testing.assert_array_equal(
             res["exact"].model.values, local["exact"].model.values
@@ -42,7 +41,7 @@ class TestSparkTraining:
         gt, res = spark_runs
         local = train_many(
             None, gt, ["exact", "baseline", "uniform", "nonuniform"],
-            m=8_000, k=10, eps=0.1, seed=31,
+            m=20_000, k=10, eps=0.1, seed=31,
         )
         for algo in ["baseline", "uniform", "nonuniform"]:
             assert res[algo].total_messages == local[algo].total_messages

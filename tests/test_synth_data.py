@@ -1,5 +1,6 @@
 """Tests for the synth_data BN event-stream generator, with an oracle
 check on its aggregation."""
+import pandas as pd
 import pytest
 
 from repro import oracle, synth_data
@@ -25,7 +26,8 @@ class TestBnEvents:
 
         net = networks.make("alarm")
         df = synth_data.bn_events(spark, "alarm", sf=0.002, k=4, seed=2)
-        got = aggregate_events_df(spark, net, df, k=4)
+        cid, sid, n = aggregate_events_df(spark, net, df, k=4)
+        got = pd.DataFrame({"counter_id": cid, "site": sid, "n": n})
         oracle.assert_equivalent(
             got, duckdb_counts_sql(net), events=df.toPandas()
         )
