@@ -56,6 +56,11 @@ class GroundTruth:
                 raise ValueError(f"cpd {i} has shape {t.shape}")
         # Cached log tables for fast scoring.
         self._log_cpds = [np.log(t) for t in self.cpds]
+        #: Sampling's inverse-CDF tables, shape ``(J_i - 1, K_i)``:
+        #: ``cum_cpds[i][x, x_par]`` is ``P[X_i <= x | x_par]``.
+        self.cum_cpds = [
+            np.ascontiguousarray(t.cumsum(axis=1)[:, :-1].T) for t in self.cpds
+        ]
 
     # ------------------------------------------------------------ queries
 

@@ -80,17 +80,26 @@ def _random_dag(
     return [sorted(p) for p in parents]
 
 
-def _params_for_cards(parents: list[list[int]], cards: np.ndarray) -> int:
-    tot = 0
+def _parent_matrix(parents: list[list[int]]) -> np.ndarray:
+    """``(n, d_max)`` parent ids, padded with ``n``: the id of an extra
+    cardinality-1 slot, so every row's product is ``K_i``."""
+    n = len(parents)
+    P = np.full((n, max(map(len, parents), default=0)), n, dtype=np.int64)
     for j, ps in enumerate(parents):
-        K = int(np.prod(cards[ps])) if ps else 1
-        tot += (int(cards[j]) - 1) * K
-    return tot
+        P[j, : len(ps)] = ps
+    return P
+
+
+def _params_for_cards(P: np.ndarray, cards: np.ndarray) -> int:
+    """``sum (J_i - 1) * K_i`` for the parent matrix ``P`` of
+    :func:`_parent_matrix`."""
+    K = np.append(cards, 1)[P].prod(axis=1)
+    return int(((cards - 1) * K).sum())
 
 
 def _fit_cards(
     rng: np.random.Generator,
-    parents: list[list[int]],
+    P: np.ndarray,
     target: int,
     card_cap: int,
 ) -> np.ndarray:
@@ -99,18 +108,18 @@ def _fit_cards(
     ``params(t)`` is monotone nondecreasing in ``t``, so bisection finds
     the temperature whose integer cardinalities are closest to target.
     """
-    n = len(parents)
+    n = len(P)
     base = rng.uniform(np.log(2.0), np.log(float(card_cap)), n)
 
     def cards_at(t: float) -> np.ndarray:
         return np.clip(np.round(np.exp(t * base)), 2, card_cap).astype(np.int64)
 
     lo, hi = 0.01, 3.0
-    best, best_err = cards_at(lo), abs(_params_for_cards(parents, cards_at(lo)) - target)
+    best, best_err = cards_at(lo), abs(_params_for_cards(P, cards_at(lo)) - target)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         c = cards_at(mid)
-        p = _params_for_cards(parents, c)
+        p = _params_for_cards(P, c)
         err = abs(p - target)
         if err < best_err:
             best, best_err = c, err
@@ -138,8 +147,9 @@ def synth_network(
     for a in range(attempts):
         rng = np.random.default_rng([seed, 0xBA7E5, a])
         parents = _random_dag(rng, n_nodes, n_edges, d_max)
-        cards = _fit_cards(rng, parents, target_params, card_cap)
-        err = abs(_params_for_cards(parents, cards) - target_params)
+        P = _parent_matrix(parents)
+        cards = _fit_cards(rng, P, target_params, card_cap)
+        err = abs(_params_for_cards(P, cards) - target_params)
         if err < best_err:
             best = BayesNet(name, parents, cards)
             best_err = err

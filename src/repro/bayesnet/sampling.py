@@ -12,6 +12,11 @@ partition generated it. This is achieved by seeding an independent RNG
 per fixed-size chunk of the stream (chunks aligned to absolute indices)
 so the driver and any Spark partition produce identical events — a test
 asserts this equality.
+
+Within a chunk, row ``t`` depends only on its own uniforms (one per
+node, at the same position of every node's full-chunk draw) and on its
+parents' values in the same row. A slice ``[a, b)`` of a chunk therefore
+generates only its own ``b - a`` rows: no prefix is regenerated.
 """
 from __future__ import annotations
 
@@ -22,40 +27,38 @@ from repro.bayesnet.cpd import GroundTruth
 CHUNK = 8192  # stream chunk size the RNG seeding is aligned to
 
 
-def _sample_chunk(gt: GroundTruth, chunk_id: int, size: int, seed: int) -> np.ndarray:
-    """Sample ``size`` events of chunk ``chunk_id`` (full chunk prefix)."""
+def chunk_edges(lo: int, hi: int) -> list[int]:
+    """``lo``, every ``CHUNK`` boundary inside ``(lo, hi)``, then ``hi``."""
+    return [lo, *range((lo // CHUNK + 1) * CHUNK, hi, CHUNK), hi]
+
+
+def _sample_chunk(gt: GroundTruth, start: int, size: int, seed: int) -> np.ndarray:
+    """Events ``[start, start + size)``, which lie inside one chunk, as an
+    ``(size, n)`` column-major int32 matrix."""
     net = gt.net
+    chunk_id, a = divmod(start, CHUNK)
     rng = np.random.default_rng([seed, 0xE7E47, chunk_id])
-    X = np.zeros((size, net.n), dtype=np.int32)
+    X = np.empty((size, net.n), dtype=np.int32, order="F")
     for i in net.topo:
         i = int(i)
-        pidx = net.parent_config_index(X, i)
-        probs = gt.cpds[i][pidx]  # (size, J_i)
-        # Always draw a full chunk of uniforms so the RNG stream position
-        # per node is independent of `size` — this is what makes event t
-        # identical no matter which [lo, hi) slice generated it.
-        u = rng.random(CHUNK)[:size]
-        # Inverse-CDF draw: count how many cumulative cells are < u.
-        X[:, i] = np.minimum(
-            (probs.cumsum(axis=1) < u[:, None]).sum(axis=1),
-            int(net.cards[i]) - 1,
-        )
+        # A full chunk of uniforms per node keeps the RNG stream position
+        # independent of the slice; the slice reads its own rows of it.
+        u = rng.random(CHUNK)[a : a + size]
+        # Inverse-CDF draw: the value is how many of the first J_i - 1
+        # cumulative cells of the row's CPD lie below u.
+        cells = np.take(gt.cum_cpds[i], net.parent_config_index(X, i), axis=1)
+        np.sum(cells < u, axis=0, dtype=np.int32, out=X[:, i])
     return X
 
 
 def sample_events(gt: GroundTruth, lo: int, hi: int, *, seed: int) -> np.ndarray:
-    """Events ``[lo, hi)`` of the stream — ``(hi-lo, n)`` int32 matrix."""
+    """Events ``[lo, hi)`` of the stream — ``(hi-lo, n)`` int32 matrix,
+    column-major so each variable's column is contiguous."""
     if hi <= lo:
         return np.zeros((0, gt.net.n), dtype=np.int32)
-    parts = []
-    c0, c1 = lo // CHUNK, (hi - 1) // CHUNK
-    for c in range(c0, c1 + 1):
-        base = c * CHUNK
-        a, b = max(lo, base) - base, min(hi, base + CHUNK) - base
-        # Generate the chunk prefix [0, b) so row b-1 is identical no
-        # matter where the requested range starts, then slice [a, b).
-        parts.append(_sample_chunk(gt, c, b, seed)[a:b])
-    return np.concatenate(parts, axis=0)
+    edges = chunk_edges(lo, hi)
+    parts = [_sample_chunk(gt, a, b - a, seed) for a, b in zip(edges[:-1], edges[1:])]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
 def sample_sites(lo: int, hi: int, *, k: int, seed: int) -> np.ndarray:
@@ -66,11 +69,12 @@ def sample_sites(lo: int, hi: int, *, k: int, seed: int) -> np.ndarray:
     """
     if hi <= lo:
         return np.zeros(0, dtype=np.int32)
+    edges = chunk_edges(lo, hi)
     parts = []
-    c0, c1 = lo // CHUNK, (hi - 1) // CHUNK
-    for c in range(c0, c1 + 1):
-        base = c * CHUNK
-        a, b = max(lo, base) - base, min(hi, base + CHUNK) - base
+    for a, b in zip(edges[:-1], edges[1:]):
+        c, off = divmod(a, CHUNK)
         rng = np.random.default_rng([seed, 0x517E5, c])
-        parts.append(rng.integers(0, k, b, dtype=np.int32)[a:b])
+        # Bounded integers consume a data-dependent share of the stream,
+        # so the chunk prefix is drawn too.
+        parts.append(rng.integers(0, k, off + b - a, dtype=np.int32)[off:])
     return np.concatenate(parts)

@@ -138,9 +138,11 @@ class BayesNet:
         in ``[0, K_i)`` (all zeros for a root node).
         """
         ps = self.parents[i]
-        if not ps:
-            return np.zeros(X.shape[0], dtype=np.int64)
-        return (X[:, ps].astype(np.int64) * self._strides[i]).sum(axis=1)
+        out = np.zeros(X.shape[0], dtype=np.int64)
+        # One parent column at a time: no (m, |par|) gather, exact ints.
+        for p, stride in zip(ps, self._strides[i]):
+            out += np.multiply(X[:, p], stride, dtype=np.int64)
+        return out
 
     def counter_ids(
         self, i: int, xi: np.ndarray, pidx: np.ndarray

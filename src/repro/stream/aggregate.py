@@ -6,8 +6,11 @@ pair, *how many* increments it received — the batched protocol engine is
 exact given those counts (see ``distmon.batch``). As in the monitoring
 model, sites work locally and one coordinator combines what they send:
 each site-side slice runs one numpy kernel and the driver sums the
-partials in one reduce, with no shuffle. Three paths, all returning
-numpy ``(counter_id, site, n)`` sorted by key:
+partials in one reduce, with no shuffle. The kernel sorts nothing: each
+variable's family block and parent block is one ``bincount`` of
+``counter_id * k + site`` into its slice of a dense ``n_counters * k``
+table, whose nonzero cells are the sorted partial. Three paths, all
+returning numpy ``(counter_id, site, n)`` sorted by key:
 
 * :func:`aggregate_generated` — chunk-aligned Spark tasks generate their
   slice of the stream deterministically and aggregate it in place, so the
@@ -27,7 +30,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.bayesnet.cpd import GroundTruth
-from repro.bayesnet.sampling import CHUNK, sample_events, sample_sites
+from repro.bayesnet.sampling import chunk_edges, sample_events, sample_sites
 from repro.bayesnet.structure import BayesNet
 
 
@@ -37,15 +40,31 @@ Counts = tuple[np.ndarray, np.ndarray, np.ndarray]
 def _agg_kernel(
     net: BayesNet, X: np.ndarray, sites: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unique fused keys ``counter_id * k + site`` and their counts."""
+    """Sorted nonzero fused keys ``counter_id * k + site`` and their counts.
+
+    Variable ``i``'s family ids and parent ids each fill one contiguous
+    id range, so each block is one ``bincount`` into its own slice of a
+    dense ``n_counters * k`` table; nothing is sorted.
+    """
     m = X.shape[0]
-    keys = np.empty(2 * net.n * m, dtype=np.int64)
+    if m and not (
+        0 <= sites.min() and sites.max() < k
+        and 0 <= X.min() and np.all(X.max(axis=0) < net.cards)
+    ):
+        raise ValueError("an event value or site lies outside its domain")
+    table = np.empty(net.n_counters * k, dtype=np.int64)
     s64 = sites.astype(np.int64)
     for i in range(net.n):
         fam, par = net.counter_ids(i, X[:, i], net.parent_config_index(X, i))
-        keys[2 * i * m : (2 * i + 1) * m] = fam * k + s64
-        keys[(2 * i + 1) * m : (2 * i + 2) * m] = par * k + s64
-    return np.unique(keys, return_counts=True)
+        for ids, lo, hi in (
+            (fam, net.fam_offset[i], net.fam_offset[i + 1]),
+            (par, net.par_offset[i], net.par_offset[i + 1]),
+        ):
+            table[lo * k : hi * k] = np.bincount(
+                (ids - lo) * k + s64, minlength=(hi - lo) * k
+            )
+    keys = np.flatnonzero(table)
+    return keys, table[keys]
 
 
 def _split(keys: np.ndarray, cnts: np.ndarray, k: int) -> Counts:
@@ -66,10 +85,10 @@ def _merge(parts: list[tuple[np.ndarray, np.ndarray]], k: int) -> Counts:
 def _task_bounds(lo: int, hi: int, slots: int) -> list[tuple[int, int]]:
     """Cut ``[lo, hi)`` at ``CHUNK`` boundaries into at most ``slots``
     slices of whole chunks, as even as the cut allows, so no two tasks
-    sample the same chunk prefix."""
+    draw the same chunk's random streams."""
     if hi <= lo:
         return []
-    edges = [lo, *range((lo // CHUNK + 1) * CHUNK, hi, CHUNK), hi]
+    edges = chunk_edges(lo, hi)
     chunks = len(edges) - 1
     n = min(slots, chunks)
     cuts = [edges[j * chunks // n] for j in range(n + 1)]

@@ -20,11 +20,14 @@ def bn_events(
     Schema: ``event_id, site, v0..v{n-1}`` — one categorical value per
     network variable, plus the (uniformly random) site that received the
     event. SF=1.0 is ~500K events (the paper's tables use 50K = SF 0.1
-    of this scale; its figures up to 5M). Deterministic in ``seed``.
+    of this scale; its figures up to 5M). Events are drawn from the
+    repository's fixed stand-in (``networks.ground_truth(network)``),
+    the network the learners are built for; ``seed`` seeds the stream
+    only.
     """
     from repro.bayesnet import networks as _networks
     from repro.stream.events import events_pandas
 
-    gt = _networks.ground_truth(network, seed=seed)
+    gt = _networks.ground_truth(network)
     m = max(1, int(_N_BN_EVENTS_PER_SF * sf))
     return spark.createDataFrame(events_pandas(gt, 0, m, k=k, seed=seed))

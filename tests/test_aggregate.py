@@ -6,6 +6,7 @@ input events — catching any error in the counter-id arithmetic, the
 site-side kernel, or the driver-side merge of the sites' partials, not
 just "it ran". The chunk-aligned task cutter is property-tested.
 """
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import example, given, strategies as st
 from repro import oracle
 from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
-from repro.bayesnet.sampling import CHUNK
+from repro.bayesnet.sampling import CHUNK, sample_events, sample_sites
 from repro.stream import aggregate
 from repro.stream.aggregate import (
     _task_bounds,
@@ -25,7 +26,7 @@ from repro.stream.aggregate import (
     aggregate_local,
     duckdb_counts_sql,
 )
-from repro.stream.events import events_pandas
+from repro.stream.events import batch_ranges, events_pandas
 
 
 def rows(batch) -> pd.DataFrame:
@@ -174,3 +175,70 @@ class TestAggregateInvariants:
             cid, _, n = aggregate_local(gt, lo, hi, k=4, seed=16)
             np.add.at(split, cid, n)
         np.testing.assert_array_equal(full, split)
+
+
+def unique_reference(net, X, sites, k):
+    """The sort-based kernel: ``np.unique`` over all ``2 n m`` fused keys,
+    with parent indices computed by a gather independent of the kernel's."""
+    keys = [np.empty(0, dtype=np.int64)]
+    s64 = sites.astype(np.int64)
+    for i, ps in enumerate(net.parents):
+        strides = np.cumprod([1, *net.cards[ps][:-1]])[: len(ps)]
+        pidx = (X[:, ps].astype(np.int64) * strides).sum(axis=1)
+        fam = net.fam_offset[i] + pidx * net.cards[i] + X[:, i]
+        par = net.par_offset[i] + pidx
+        keys += [fam * k + s64, par * k + s64]
+    return np.unique(np.concatenate(keys), return_counts=True)
+
+
+class TestKernel:
+    @pytest.mark.parametrize(
+        "m, k", [(0, 5), (1, 1), (37, 1), (500, 3), (2000, 30)]
+    )
+    def test_equals_unique_reference(self, gt, m, k):
+        rng = np.random.default_rng([m, k])
+        X = rng.integers(0, gt.net.cards, size=(m, gt.net.n)).astype(np.int32)
+        sites = rng.integers(0, k, m)
+        keys, cnts = aggregate._agg_kernel(gt.net, X, sites, k)
+        want_keys, want_cnts = unique_reference(gt.net, X, sites, k)
+        assert keys.dtype == cnts.dtype == np.int64
+        np.testing.assert_array_equal(keys, want_keys)
+        np.testing.assert_array_equal(cnts, want_cnts)
+
+    def test_rejects_values_of_another_network(self):
+        """Events of the seed-2 ALARM stand-in hold values outside the
+        seed-0 structure's domains; counting them must fail loudly."""
+        other = networks.ground_truth("alarm", seed=2)
+        net = networks.make("alarm")
+        X = sample_events(other, 0, 1000, seed=2)
+        assert np.any(X.max(axis=0) >= net.cards)
+        with pytest.raises(ValueError, match="outside its domain"):
+            aggregate._agg_kernel(net, X, sample_sites(0, 1000, k=4, seed=2), 4)
+
+    def test_rejects_negative_value(self, gt):
+        X = sample_events(gt, 0, 50, seed=1)
+        X[7, 2] = -1
+        with pytest.raises(ValueError, match="outside its domain"):
+            aggregate._agg_kernel(gt.net, X, np.zeros(50, dtype=np.int32), 2)
+
+    def test_rejects_site_equal_to_k(self, gt):
+        X = sample_events(gt, 0, 50, seed=1)
+        sites = np.zeros(50, dtype=np.int64)
+        sites[-1] = 3
+        with pytest.raises(ValueError, match="outside its domain"):
+            aggregate._agg_kernel(gt.net, X, sites, 3)
+
+
+def test_golden_digest_hepar2():
+    """Pins the stream and the kernel bit for bit: every micro-batch of a
+    20K HEPAR2 stream (multi-parent nodes; batches that cross ``CHUNK``
+    boundaries at unaligned starts), digest taken from the sort-based
+    kernel that sampled chunk prefixes."""
+    gt = networks.ground_truth("hepar2")
+    h = hashlib.sha256()
+    for lo, hi in batch_ranges(20_000):
+        for a in aggregate_local(gt, lo, hi, k=7, seed=3):
+            h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    assert h.hexdigest() == (
+        "7bb65191f9f5d94a30c192f108e562791fad6e6a4d9ea52e6bc6a56852159ed2"
+    )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bayesnet import networks
 from repro.bayesnet.networks import PAPER_NETWORKS
+from repro.bayesnet.structure import BayesNet
 
 
 @pytest.mark.parametrize("name", list(PAPER_NETWORKS))
@@ -86,3 +87,23 @@ class TestSynthGuards:
         net = networks.naive_bayes(4, J_root=3, J_leaf=2)
         assert net.parents == [[], [0], [0], [0]]
         assert net.cards.tolist() == [3, 2, 2, 2]
+
+
+class TestParamsForCards:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_bayesnet_n_params(self, seed):
+        """The vectorized count the card fitter bisects on equals the
+        structure's own ``sum (J_i - 1) * K_i`` on random DAGs."""
+        rng = np.random.default_rng([seed, 0xFA])
+        n = int(rng.integers(2, 40))
+        d_max = int(rng.integers(1, 5))
+        edges = int(rng.integers(0, sum(min(j, d_max) for j in range(n)) + 1))
+        parents = networks._random_dag(rng, n, edges, d_max)
+        cards = rng.integers(2, 9, n)
+        P = networks._parent_matrix(parents)
+        assert networks._params_for_cards(P, cards) == BayesNet("r", parents, cards).n_params
+
+    def test_no_edges(self):
+        P = networks._parent_matrix([[], [], []])
+        assert P.shape == (3, 0)
+        assert networks._params_for_cards(P, np.array([2, 3, 4])) == 1 + 2 + 3
