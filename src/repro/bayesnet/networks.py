@@ -42,7 +42,6 @@ class NetSpec:
     card_cap: int  # largest variable cardinality the generator may use
     d_max: int  # in-degree cap
     alpha: float  # Dirichlet concentration of the ground-truth CPDs
-    min_mass: float = 0.02  # probability floor fraction per CPD row
 
 
 #: Table 1 targets. ``alpha`` is calibrated (once, globally) so the
@@ -205,9 +204,8 @@ def ground_truth(name: str, *, seed: int = 0) -> GroundTruth:
             # network is only used for communication-cost experiments.
             alpha, min_mass = 5.0, 0.05
         else:
-            spec = PAPER_NETWORKS.get(name)
-            alpha = spec.alpha if spec else 0.5
-            min_mass = spec.min_mass if spec else 0.05
+            # Probability floor: 0.02 of each CPD row's mass, spread evenly.
+            alpha, min_mass = PAPER_NETWORKS[name].alpha, 0.02
         _GT_CACHE[key] = GroundTruth.random(
             make(name, seed=seed), seed=seed, alpha=alpha, min_mass=min_mass
         )

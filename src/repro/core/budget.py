@@ -30,10 +30,24 @@ import numpy as np
 
 from repro.bayesnet.structure import BayesNet
 
-def per_variable_eps(net: BayesNet, algo: str, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(epsfnA, epsfnB)`` arrays of length ``n`` for a given algorithm."""
+
+def _check_eps(eps: float) -> None:
+    """Raise unless ``eps`` lies in ``(0, 1)`` (NaN does not)."""
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0, 1)")
+
+
+def _per_counter(net: BayesNet, eps_a: np.ndarray, eps_b: np.ndarray) -> np.ndarray:
+    """Expand per-variable ``(eps_a, eps_b)`` to the flat
+    ``(n_counters,)`` array the batch engine consumes: family blocks
+    then parent blocks."""
+    fam_sizes = (net.cards * net.K).astype(np.int64)
+    return np.concatenate([np.repeat(eps_a, fam_sizes), np.repeat(eps_b, net.K)])
+
+
+def per_variable_eps(net: BayesNet, algo: str, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(epsfnA, epsfnB)`` arrays of length ``n`` for a given algorithm."""
+    _check_eps(eps)
     n = net.n
     J = net.cards.astype(np.float64)
     K = net.K.astype(np.float64)
@@ -53,13 +67,8 @@ def per_variable_eps(net: BayesNet, algo: str, eps: float) -> tuple[np.ndarray, 
 
 
 def counter_eps(net: BayesNet, algo: str, eps: float) -> np.ndarray:
-    """Expand per-variable eps to the flat ``(n_counters,)`` array the
-    batch engine consumes: family blocks then parent blocks."""
-    eps_a, eps_b = per_variable_eps(net, algo, eps)
-    fam_sizes = (net.cards * net.K).astype(np.int64)
-    return np.concatenate(
-        [np.repeat(eps_a, fam_sizes), np.repeat(eps_b, net.K)]
-    )
+    """Per-counter eps of BASELINE / UNIFORM / NONUNIFORM."""
+    return _per_counter(net, *per_variable_eps(net, algo, eps))
 
 
 def naive_bayes_eps(net: BayesNet, eps: float) -> np.ndarray:
@@ -74,14 +83,13 @@ def naive_bayes_eps(net: BayesNet, eps: float) -> np.ndarray:
     """
     if any(p != [0] for p in net.parents[1:]) or net.parents[0]:
         raise ValueError("naive_bayes_eps requires root-0 naive-Bayes structure")
+    _check_eps(eps)
     n = net.n
     J = net.cards.astype(np.float64)
     denom = np.sqrt(np.sum(J[1:] ** (2.0 / 3.0)))
     eps_a = np.full(n, eps / (3.0 * n))
     eps_a[1:] = (eps / 16.0) * J[1:] ** (1.0 / 3.0) / denom
-    eps_b = np.full(n, eps / (3.0 * n))
-    fam_sizes = (net.cards * net.K).astype(np.int64)
-    return np.concatenate([np.repeat(eps_a, fam_sizes), np.repeat(eps_b, net.K)])
+    return _per_counter(net, eps_a, np.full(n, eps / (3.0 * n)))
 
 
 def predicted_message_bound(net: BayesNet, algo: str, eps: float, k: int, m: int) -> float:

@@ -74,14 +74,14 @@ class Learner:
         eps: float,
         seed: int,
         proto_c: float = 1.0,
-        lam: float = 0.5,
         collect_snapshots: bool = False,
     ) -> None:
         unknown = [a for a in algos if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown}; known: {list(ALGORITHMS)}")
+        if len(set(algos)) != len(algos):
+            raise ValueError(f"repeated algorithms in {algos}")
         self.net = net
-        self.lam = lam
         self.collect_snapshots = collect_snapshots
         self.events = 0
         self.engines: dict[str, ExactCounterEngine | BatchCounterEngine] = {}
@@ -131,7 +131,7 @@ class Learner:
         """Every algorithm's current model and message tally."""
         for algo, eng in self.engines.items():
             res = self.results[algo]
-            res.model = CountModel(self.net, self._values(algo), lam=self.lam)
+            res.model = CountModel(self.net, self._values(algo))
             res.total_messages = eng.total_messages
         return self.results
 
@@ -147,7 +147,6 @@ def train_many(
     seed: int,
     first_batch: int = 1024,
     collect_snapshots: bool = False,
-    lam: float = 0.5,
     proto_c: float = 1.0,
 ) -> dict[str, TrainResult]:
     """Train every algorithm in ``algos`` over the same ``m``-event stream.
@@ -158,7 +157,7 @@ def train_many(
     tests / tiny runs).
     """
     learner = Learner(
-        gt.net, algos, k=k, eps=eps, seed=seed, proto_c=proto_c, lam=lam,
+        gt.net, algos, k=k, eps=eps, seed=seed, proto_c=proto_c,
         collect_snapshots=collect_snapshots,
     )
     for lo, hi in batch_ranges(m, first=first_batch):

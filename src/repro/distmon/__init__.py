@@ -12,7 +12,9 @@ Two implementations with identical semantics:
   used to validate the protocol's statistical guarantees directly;
 * :mod:`repro.distmon.batch` — a vectorized engine running hundreds of
   thousands of counters at once from per-batch aggregated increment
-  counts, exact-in-distribution (suffix-geometric decomposition).
+  counts, exact-in-distribution (suffix-geometric decomposition). Its
+  state is the reference's, one row per counter; estimates and message
+  totals are derived from it.
 """
 from repro.distmon.counters import ExactCounter, SeqDistCounter
 from repro.distmon.batch import BatchCounterEngine, ExactCounterEngine

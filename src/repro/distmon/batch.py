@@ -37,13 +37,15 @@ class ExactCounterEngine:
 
     def __init__(self, n_counters: int) -> None:
         self.counts = np.zeros(n_counters, dtype=np.int64)
-        self.total_messages = 0
 
     def update(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
         """Add ``n`` to counters ``cid`` (repeats sum); ids must be in range."""
         _check_range(cid, len(self.counts), "counter")
         np.add.at(self.counts, cid, n)
-        self.total_messages += int(n.sum())
+
+    @property
+    def total_messages(self) -> int:
+        return int(self.counts.sum())
 
     def estimates(self) -> np.ndarray:
         return self.counts.astype(np.float64)
@@ -51,6 +53,10 @@ class ExactCounterEngine:
 
 class BatchCounterEngine:
     """All approximate counters of one algorithm, batched.
+
+    The state is :class:`~repro.distmon.counters.SeqDistCounter`'s, one
+    row per counter: ``p``, ``f``, ``r``, ``rep``, ``round_est`` and
+    ``messages``. Estimates and the message total are derived from it.
 
     Parameters
     ----------
@@ -73,8 +79,8 @@ class BatchCounterEngine:
         self, eps: np.ndarray, k: int, *, seed: int, proto_c: float = 1.0
     ) -> None:
         eps = np.asarray(eps, dtype=np.float64)
-        if np.any(eps <= 0):
-            raise ValueError("all counter eps must be positive")
+        if not np.all(np.isfinite(eps) & (eps > 0)):
+            raise ValueError("all counter eps must be positive and finite")
         self.eps = eps
         self.k = int(k)
         self.proto_c = float(proto_c)
@@ -84,12 +90,12 @@ class BatchCounterEngine:
         self.f = np.zeros((self.nc, k), dtype=np.int64)  # true local counts
         self.r = np.zeros((self.nc, k), dtype=np.int64)  # synced/reported
         self.rep = np.zeros((self.nc, k), dtype=bool)  # reported this round
-        self.sum_r = np.zeros(self.nc, dtype=np.float64)
-        self.n_rep = np.zeros(self.nc, dtype=np.int64)
-        self.est = np.zeros(self.nc, dtype=np.float64)
         self.round_est = np.ones(self.nc, dtype=np.float64)
         self.messages = np.zeros(self.nc, dtype=np.int64)
-        self.total_messages = 0
+
+    @property
+    def total_messages(self) -> int:
+        return int(self.messages.sum())
 
     def update(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
         """Apply one micro-batch of aggregated increments.
@@ -129,22 +135,17 @@ class BatchCounterEngine:
         hm = np.nonzero(has_msg)[0]
         if len(hm):
             M[hm] = 1 + self.rng.binomial(L[hm] - 1, p_rows[hm])
-            newr = fstart[hm] + L[hm]
             c_h, s_h = cid[hm], sid[hm]
-            old = self.r[c_h, s_h]
-            self.r[c_h, s_h] = newr
-            first = ~self.rep[c_h, s_h]
+            self.r[c_h, s_h] = fstart[hm] + L[hm]
             self.rep[c_h, s_h] = True
-            np.add.at(self.n_rep, c_h[first], 1)
-            np.add.at(self.sum_r, c_h, (newr - old).astype(np.float64))
         np.add.at(self.messages, cid, M)
-        self.total_messages += int(M.sum())
 
-        # Coordinator: refresh estimates of touched counters, advance
-        # rounds (sync + lower p) where the estimate doubled.
-        touched = np.unique(cid)
-        self._refresh(touched)
-        adv = touched[self.est[touched] >= 2.0 * self.round_est[touched]]
+        # Coordinator: advance rounds (sync + lower p) where the estimate
+        # doubled. Scanning every counter finds the same ascending ids as
+        # scanning the touched ones, because after each update every
+        # estimate is below its line: an untouched counter keeps its
+        # estimate, and a re-synced one's is ``exact < 2 * max(exact, 1)``.
+        adv = np.flatnonzero(self._estimate() >= 2.0 * self.round_est)
         if len(adv):
             self._advance_round(adv)
 
@@ -162,23 +163,19 @@ class BatchCounterEngine:
             if np.any(key[1:] == key[:-1]):
                 raise ValueError("duplicate (counter, site) pairs in one update")
 
-    def _refresh(self, ids: np.ndarray) -> None:
-        self.est[ids] = self.sum_r[ids] + self.n_rep[ids] * (
-            1.0 / self.p[ids] - 1.0
-        )
+    def _estimate(self) -> np.ndarray:
+        """``sum_s r_s + (#sites reported this round) * (1/p - 1)`` per
+        counter, as in ``SeqDistCounter.estimate`` (>= 0; the integer
+        sums are below 2**53, so float64 holds them exactly)."""
+        return self.r.sum(axis=1) + self.rep.sum(axis=1) * (1.0 / self.p - 1.0)
 
     def _advance_round(self, adv: np.ndarray) -> None:
         """Exact re-sync of stale sites + reporting-probability drop."""
-        fa, ra = self.f[adv], self.r[adv]
-        stale = (fa != ra).sum(axis=1)
-        np.add.at(self.messages, adv, stale)
-        self.total_messages += int(stale.sum())
+        fa = self.f[adv]
+        self.messages[adv] += (fa != self.r[adv]).sum(axis=1)  # ids unique
         self.r[adv] = fa
         self.rep[adv] = False
-        self.n_rep[adv] = 0
         exact = fa.sum(axis=1).astype(np.float64)
-        self.sum_r[adv] = exact
-        self.est[adv] = exact
         self.p[adv] = np.clip(
             np.minimum(
                 self.p[adv],
@@ -190,8 +187,8 @@ class BatchCounterEngine:
         self.round_est[adv] = np.maximum(exact, 1.0)
 
     def estimates(self) -> np.ndarray:
-        """Current coordinator-side estimates of all counters (>= 0)."""
-        return np.maximum(self.est, 0.0)
+        """Current coordinator-side estimates of all counters."""
+        return self._estimate()
 
     def exact_counts(self) -> np.ndarray:
         """Ground-truth counter values (tests only — not coordinator-visible)."""

@@ -3,7 +3,7 @@
 
 The paper's reference numbers are embedded here so the rendered report
 shows *paper vs measured* side by side. Configuration comes from env
-vars so jobs and benchmarks share one knob set:
+vars, one knob set for every job:
 
 =================  ========  =====================================
 env var            default   meaning
