@@ -21,7 +21,7 @@ from repro.bayesnet.structure import BayesNet
 from repro.core.budget import counter_eps, naive_bayes_eps
 from repro.core.model import CountModel
 from repro.distmon.batch import BatchCounterEngine, ExactCounterEngine
-from repro.stream.aggregate import aggregate_generated, aggregate_local
+from repro.stream.aggregate import StreamJob, aggregate_generated, aggregate_local
 from repro.stream.events import batch_ranges
 
 
@@ -154,15 +154,19 @@ def train_many(
     ``algos`` entries are keys of :data:`ALGORITHMS`; ``"nb-shared"``
     (Naive-Bayes Algorithm 4) needs a root-0 Naive-Bayes network. Pass
     ``spark=None`` to use the driver-side reference aggregation (unit
-    tests / tiny runs).
+    tests / tiny runs); with a session the whole stream is one Spark job
+    (:class:`~repro.stream.aggregate.StreamJob`) whose batches are taken
+    in stream order.
     """
     learner = Learner(
         gt.net, algos, k=k, eps=eps, seed=seed, proto_c=proto_c,
         collect_snapshots=collect_snapshots,
     )
-    for lo, hi in batch_ranges(m, first=first_batch):
-        if spark is not None:
-            batch = aggregate_generated(spark, gt, lo, hi, k=k, seed=seed)
+    ranges = batch_ranges(m, first=first_batch)
+    job = None if spark is None else StreamJob(spark, gt, ranges, k=k, seed=seed)
+    for lo, hi in ranges:
+        if job is not None:
+            batch = aggregate_generated(job, gt, lo, hi, k=k, seed=seed)
         else:
             batch = aggregate_local(gt, lo, hi, k=k, seed=seed)
         learner.update(*batch)

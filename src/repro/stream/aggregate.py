@@ -4,17 +4,21 @@ Each event increments ``2n`` counters (one family + one parent counter
 per variable). Per micro-batch we only need, for every (counter, site)
 pair, *how many* increments it received — the batched protocol engine is
 exact given those counts (see ``distmon.batch``). As in the monitoring
-model, sites work locally and one coordinator combines what they send:
-each site-side slice runs one numpy kernel and the driver sums the
-partials in one reduce, with no shuffle. The kernel sorts nothing: each
-variable's family block and parent block is one ``bincount`` of
-``counter_id * k + site`` into its slice of a dense ``n_counters * k``
-table, whose nonzero cells are the sorted partial. Three paths, all
-returning numpy ``(counter_id, site, n)`` sorted by key:
+model, sites work locally and one coordinator combines what they send,
+batch by batch in stream order, with no shuffle. The kernel sorts
+nothing: each variable's family block and parent block is one
+``bincount`` of ``counter_id * k + site`` into its slice of a dense
+``n_counters * k`` table, whose nonzero cells are the sorted partial;
+the coordinator's merge adds the partials into one such table the same
+way. Three paths, all returning numpy ``(counter_id, site, n)`` sorted
+by key:
 
-* :func:`aggregate_generated` — chunk-aligned Spark tasks generate their
-  slice of the stream deterministically and aggregate it in place, so the
-  raw stream (e.g. 50K x 1041 variables for MUNIN) never materializes.
+* :func:`aggregate_generated` — one Spark job per stream
+  (:class:`StreamJob`): chunk-aligned tasks generate their slice of the
+  stream deterministically, cut it at the batch edges and return one
+  kernel partial per piece, so the raw stream (e.g. 50K x 1041 variables
+  for MUNIN) never materializes and the driver merges each batch when
+  the coordinator asks for it.
 * :func:`aggregate_events_df` — from an explicit Spark events DataFrame
   (oracle tests, Structured Streaming); verified row-for-row against an
   independent DuckDB SQL computation (:func:`duckdb_counts_sql`).
@@ -72,14 +76,16 @@ def _split(keys: np.ndarray, cnts: np.ndarray, k: int) -> Counts:
     return keys // k, keys % k, cnts.astype(np.int64)
 
 
-def _merge(parts: list[tuple[np.ndarray, np.ndarray]], k: int) -> Counts:
-    """The coordinator's reduce: sum the partial ``(keys, cnts)`` per key."""
-    empty = np.empty(0, dtype=np.int64)
-    keys = np.concatenate([empty, *(p[0] for p in parts)])
-    cnts = np.concatenate([empty, *(p[1] for p in parts)])
-    keys, inv = np.unique(keys, return_inverse=True)
-    # float64 weights sum integer counts exactly below 2**53.
-    return _split(keys, np.bincount(inv, weights=cnts, minlength=len(keys)), k)
+def _merge(parts: list[tuple[np.ndarray, np.ndarray]], size: int, k: int) -> Counts:
+    """The coordinator's reduce: every partial ``(keys, cnts)`` is added
+    into one dense ``size``-cell table (keys may repeat within and across
+    partials), whose nonzero cells are the sorted sum."""
+    table = np.zeros(size, dtype=np.int64)
+    for keys, cnts in parts:
+        # int64 values keep ``np.add.at`` on its fast path.
+        np.add.at(table, keys, cnts.astype(np.int64, copy=False))
+    keys = np.flatnonzero(table)
+    return _split(keys, table[keys], k)
 
 
 def _task_bounds(lo: int, hi: int, slots: int) -> list[tuple[int, int]]:
@@ -102,26 +108,79 @@ def aggregate_local(gt: GroundTruth, lo: int, hi: int, *, k: int, seed: int) -> 
     return _split(*_agg_kernel(gt.net, X, sites, k), k)
 
 
-def aggregate_generated(
-    spark: SparkSession, gt: GroundTruth, lo: int, hi: int, *, k: int, seed: int
-) -> Counts:
-    """Spark aggregation with partition-local stream generation.
+class StreamJob:
+    """One Spark job that does the site-side work of a whole batch schedule.
 
-    ``[lo, hi)`` is cut into at most ``defaultParallelism`` tasks; each
-    generates and aggregates its slice of the stream (deterministic in
-    ``(seed, slice)`` — see ``sampling``) and returns its kernel partial
-    to the driver, which merges them.
+    ``ranges`` are the schedule's batches, which tile one range in stream
+    order. The job runs when the first batch is asked for: the range is
+    cut at ``CHUNK`` boundaries into at most ``defaultParallelism`` tasks;
+    each generates its slice once (deterministic in ``(seed, slice)`` —
+    see ``sampling``), cuts it at the batch edges and returns one
+    ``(batch index, keys, cnts)`` kernel partial per piece, as int32:
+    keys are checked below ``2**31`` and a piece's counts are at most
+    its length. The driver keeps the partials by batch and releases each
+    batch's as it merges them, so each batch can be taken once.
     """
-    sc = spark.sparkContext
-    bounds = _task_bounds(lo, hi, sc.defaultParallelism)
 
-    def site_task(part: Iterator[tuple[int, int]]):
-        for a, b in part:
-            X = sample_events(gt, a, b, seed=seed)
-            yield _agg_kernel(gt.net, X, sample_sites(a, b, k=k, seed=seed), k)
+    def __init__(
+        self, spark: SparkSession, gt: GroundTruth, ranges: list[tuple[int, int]],
+        *, k: int, seed: int,
+    ) -> None:
+        if any(a[1] != b[0] for a, b in zip(ranges, ranges[1:])):
+            raise ValueError(f"batches {ranges} do not tile one range in order")
+        if gt.net.n_counters * k >= 2**31:
+            raise ValueError(
+                f"{gt.net.n_counters} counters x {k} sites do not fit the int32 partials"
+            )
+        self.spark, self.gt, self.k, self.seed = spark, gt, k, seed
+        self.ranges = list(ranges)
+        self._parts: dict[int, list[tuple[np.ndarray, np.ndarray]]] | None = None
 
-    parts = sc.parallelize(bounds, len(bounds) or 1).mapPartitions(site_task).collect()
-    return _merge(parts, k)
+    def _run(self) -> None:
+        gt, k, seed, ranges = self.gt, self.k, self.seed, self.ranges
+
+        def site_task(part: Iterator[tuple[int, int]]):
+            for a, b in part:
+                X = sample_events(gt, a, b, seed=seed)
+                sites = sample_sites(a, b, k=k, seed=seed)
+                for j, (lo, hi) in enumerate(ranges):
+                    s, e = max(lo, a) - a, min(hi, b) - a
+                    if s < e:
+                        keys, cnts = _agg_kernel(gt.net, X[s:e], sites[s:e], k)
+                        yield j, keys.astype(np.int32), cnts.astype(np.int32)
+
+        self._parts = {j: [] for j in range(len(ranges))}
+        sc = self.spark.sparkContext
+        bounds = _task_bounds(ranges[0][0], ranges[-1][1], sc.defaultParallelism)
+        if bounds:
+            for j, keys, cnts in (
+                sc.parallelize(bounds, len(bounds)).mapPartitions(site_task).collect()
+            ):
+                self._parts[j].append((keys, cnts))
+
+    def take(self, gt: GroundTruth, lo: int, hi: int, *, k: int, seed: int) -> Counts:
+        """Batch ``[lo, hi)``'s merged counts; its partials are released."""
+        if gt is not self.gt or (k, seed) != (self.k, self.seed):
+            raise ValueError("the job was built for another network, k or seed")
+        if (lo, hi) not in self.ranges:
+            raise ValueError(f"batch [{lo}, {hi}) is not in the job's schedule")
+        if self._parts is None:
+            self._run()
+        parts = self._parts.pop(self.ranges.index((lo, hi)), None)
+        if parts is None:
+            raise ValueError(f"batch [{lo}, {hi}) was already taken")
+        return _merge(parts, gt.net.n_counters * k, k)
+
+
+def aggregate_generated(
+    spark: SparkSession | StreamJob, gt: GroundTruth, lo: int, hi: int, *, k: int, seed: int
+) -> Counts:
+    """Spark aggregation of stream events ``[lo, hi)`` with
+    partition-local stream generation: batch ``[lo, hi)`` of a
+    :class:`StreamJob`, or of a one-batch job on a ``SparkSession``."""
+    if not isinstance(spark, StreamJob):
+        spark = StreamJob(spark, gt, [(lo, hi)], k=k, seed=seed)
+    return spark.take(gt, lo, hi, k=k, seed=seed)
 
 
 def aggregate_events_df(
@@ -141,7 +200,8 @@ def aggregate_events_df(
             yield pd.DataFrame({"key": keys, "cnt": cnts.astype(np.int64)})
 
     pdf = events_df.mapInPandas(agg, schema="key long, cnt long").toPandas()
-    return _merge([(pdf["key"].to_numpy(np.int64), pdf["cnt"].to_numpy(np.int64))], k)
+    part = (pdf["key"].to_numpy(np.int64), pdf["cnt"].to_numpy(np.int64))
+    return _merge([part], net.n_counters * k, k)
 
 
 def duckdb_counts_sql(net: BayesNet) -> str:

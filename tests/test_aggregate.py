@@ -242,3 +242,41 @@ def test_golden_digest_hepar2():
     assert h.hexdigest() == (
         "7bb65191f9f5d94a30c192f108e562791fad6e6a4d9ea52e6bc6a56852159ed2"
     )
+
+
+def unique_merge(parts, k):
+    """The sort-based merge: ``np.unique`` over the concatenated keys and
+    a weighted ``bincount`` of their counts."""
+    empty = np.empty(0, dtype=np.int64)
+    keys = np.concatenate([empty, *(p[0] for p in parts)])
+    cnts = np.concatenate([empty, *(p[1] for p in parts)])
+    keys, inv = np.unique(keys, return_inverse=True)
+    n = np.bincount(inv, weights=cnts, minlength=len(keys)).astype(np.int64)
+    return keys // k, keys % k, n
+
+
+class TestMerge:
+    @given(
+        k=st.integers(1, 6),
+        n_counters=st.integers(1, 40),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        data=st.data(),
+    )
+    @example(k=3, n_counters=5, dtype=np.int64, data=None)  # no parts
+    def test_dense_equals_unique_merge(self, k, n_counters, dtype, data):
+        """Keys may repeat inside a part (an events frame collected from
+        several Arrow batches) and across parts (the sites' partials)."""
+        size = n_counters * k
+        part = st.lists(st.tuples(st.integers(0, size - 1), st.integers(1, 2**20)), max_size=40)
+        raw = data.draw(st.lists(part, max_size=5)) if data is not None else []
+        parts = [
+            (np.array([p[0] for p in r], dtype=dtype), np.array([p[1] for p in r], dtype=dtype))
+            for r in raw
+        ]
+        got = aggregate._merge(parts, size, k)
+        want = unique_merge(parts, k)
+        for x, y in zip(got, want, strict=True):
+            assert x.dtype == np.int64
+            np.testing.assert_array_equal(x, y)
+        keys = got[0] * k + got[1]
+        assert np.all(np.diff(keys) > 0)

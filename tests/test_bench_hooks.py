@@ -50,3 +50,28 @@ def test_train_many_calls_aggregation_with_batch_bounds_last(spark, path):
             gt, ["exact"], m=5000, k=3, eps=0.1, seed=1, first_batch=512,
         )
     assert calls == batch_ranges(5000, first=512)
+
+
+def test_spark_path_calls_aggregation_batch_by_batch(spark):
+    """The Spark path hands perfbench one ``aggregate_generated`` call per
+    micro-batch, in stream order, shaped as its trace hook unpacks it:
+    ``(job, gt, lo, hi)`` positionally, ``k`` and ``seed`` by keyword."""
+    gt = GroundTruth.random(networks.chain(4, J=3), seed=5)
+    real = learner.aggregate_generated
+    calls = []
+
+    def recorder(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    with mock.patch.object(learner, "aggregate_generated", recorder):
+        learner.train_many(
+            spark, gt, ["exact"], m=20_000, k=3, eps=0.1, seed=1, first_batch=512,
+        )
+    assert [args[-2:] for args, _, _ in calls] == batch_ranges(20_000, first=512)
+    for args, kwargs, (_, _, n) in calls:
+        assert len(args) == 4 and args[1] is gt
+        assert kwargs == {"k": 3, "seed": 1}
+        lo, hi = args[-2:]
+        assert n.sum() == 2 * gt.net.n * (hi - lo)
