@@ -57,8 +57,14 @@ def sample_events(gt: GroundTruth, lo: int, hi: int, *, seed: int) -> np.ndarray
     if hi <= lo:
         return np.zeros((0, gt.net.n), dtype=np.int32)
     edges = chunk_edges(lo, hi)
-    parts = [_sample_chunk(gt, a, b - a, seed) for a, b in zip(edges[:-1], edges[1:])]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+    if len(edges) == 2:
+        return _sample_chunk(gt, lo, hi - lo, seed)
+    # Each piece is copied in as it is drawn, so at most one piece lives
+    # beside the result (concatenating would hold every piece at once).
+    X = np.empty((hi - lo, gt.net.n), dtype=np.int32, order="F")
+    for a, b in zip(edges[:-1], edges[1:]):
+        X[a - lo : b - lo] = _sample_chunk(gt, a, b - a, seed)
+    return X
 
 
 def sample_sites(lo: int, hi: int, *, k: int, seed: int) -> np.ndarray:

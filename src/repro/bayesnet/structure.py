@@ -144,13 +144,18 @@ class BayesNet:
             out += np.multiply(X[:, p], stride, dtype=np.int64)
         return out
 
+    def family_cells(self, i: int, xi: np.ndarray, pidx: np.ndarray) -> np.ndarray:
+        """Offsets of node ``i``'s cells ``(x_i, x_par_index)`` inside its
+        family block, ``x_i`` fastest — the one place the block layout is
+        computed (the DuckDB oracle SQL re-derives it independently)."""
+        return pidx * self.cards[i] + xi
+
     def counter_ids(
         self, i: int, xi: np.ndarray, pidx: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Global ``(family, parent)`` counter ids of node ``i``'s cells
-        ``(x_i, x_par_index)`` — the one place the id layout is computed
-        (the DuckDB oracle SQL re-derives it independently)."""
-        return self.fam_offset[i] + pidx * self.cards[i] + xi, self.par_offset[i] + pidx
+        ``(x_i, x_par_index)``."""
+        return self.fam_offset[i] + self.family_cells(i, xi, pidx), self.par_offset[i] + pidx
 
     def family_ids(self, X: np.ndarray, i: int) -> np.ndarray:
         """Global family-counter ids for events ``X`` at node ``i``."""

@@ -170,4 +170,5 @@ def train_many(
         else:
             batch = aggregate_local(gt, lo, hi, k=k, seed=seed)
         learner.update(*batch)
+        del batch  # released before the next batch's events are drawn
     return learner.models()

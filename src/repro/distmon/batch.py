@@ -32,6 +32,12 @@ def _check_range(ids: np.ndarray, size: int, what: str) -> None:
         raise ValueError(f"{what} id out of range")
 
 
+def _check_increments(n: np.ndarray) -> None:
+    """Raise unless every increment count is ``>= 0``."""
+    if len(n) and n.min() < 0:
+        raise ValueError("negative increment count")
+
+
 class ExactCounterEngine:
     """EXACTMLE's counters: exact values, one message per increment."""
 
@@ -39,8 +45,10 @@ class ExactCounterEngine:
         self.counts = np.zeros(n_counters, dtype=np.int64)
 
     def update(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
-        """Add ``n`` to counters ``cid`` (repeats sum); ids must be in range."""
+        """Add ``n`` to counters ``cid`` (repeats sum); ids must be in range
+        and every ``n >= 0``."""
         _check_range(cid, len(self.counts), "counter")
+        _check_increments(n)
         np.add.at(self.counts, cid, n)
 
     @property
@@ -101,44 +109,49 @@ class BatchCounterEngine:
         """Apply one micro-batch of aggregated increments.
 
         ``(cid, sid)`` pairs must be unique and in range within the call
-        (raises ``ValueError`` otherwise: a duplicate would keep one write
-        to the site state but charge every copy's messages); ``n`` is the
-        number of increments the pair received in this batch.
+        and every ``n >= 0`` (raises ``ValueError`` otherwise: a duplicate
+        would keep one write to the site state but charge every copy's
+        messages); ``n`` is the number of increments the pair received in
+        this batch.
         """
         cid = np.asarray(cid, dtype=np.int64)
         sid = np.asarray(sid, dtype=np.int64)
         n = np.asarray(n, dtype=np.int64)
         if len(cid) == 0:
             return
-        self._check_pairs(cid, sid)
+        _check_increments(n)
+        key = self._check_pairs(cid, sid)
+        f, r, rep = self.f.reshape(-1), self.r.reshape(-1), self.rep.reshape(-1)
         p_rows = self.p[cid]
-        fstart = self.f[cid, sid]
-        self.f[cid, sid] = fstart + n
+        fstart = f[key]
+        f[key] = fstart + n
 
-        # Trailing-failure geometric (0 when p == 1: every item reports).
+        # Trailing-failure geometric G, capped at n ("no message"), which
+        # also maps u = 0 (G = inf) there. It is only drawn where p < 1: at
+        # p == 1 every item reports, so G = 0 and the last message is at
+        # L = n. ``u`` is drawn for every row all the same, which keeps the
+        # generator's stream (and so every fixed-seed count) as it was.
         u = self.rng.random(len(cid))
-        sat = p_rows >= 1.0
-        # Capped at n ("no message"), which also maps u = 0 (G = inf) there.
-        with np.errstate(divide="ignore"):
-            G = np.where(
-                sat,
-                0,
-                np.minimum(
-                    np.floor(np.log(u) / np.log1p(-np.minimum(p_rows, 1.0 - 1e-16))),
-                    n,
-                ),
-            ).astype(np.int64)
-        has_msg = G < n
-        L = n - G  # position of the last message (1-based), where has_msg
+        L = n.copy()  # position of the last message (1-based); 0: none
+        thin = np.flatnonzero(p_rows < 1.0)
+        if len(thin):
+            nt = n[thin]
+            with np.errstate(divide="ignore"):
+                G = np.minimum(np.floor(np.log(u[thin]) / np.log1p(-p_rows[thin])), nt)
+            L[thin] = nt - G.astype(np.int64)
 
-        M = np.zeros(len(cid), dtype=np.int64)
-        hm = np.nonzero(has_msg)[0]
+        hm = np.flatnonzero(L)  # rows with a message
         if len(hm):
-            M[hm] = 1 + self.rng.binomial(L[hm] - 1, p_rows[hm])
-            c_h, s_h = cid[hm], sid[hm]
-            self.r[c_h, s_h] = fstart[hm] + L[hm]
-            self.rep[c_h, s_h] = True
-        np.add.at(self.messages, cid, M)
+            if len(hm) == len(L):
+                hm = slice(None)  # every row has one: index by views, not copies
+            L_h = L[hm]
+            M_h = self.rng.binomial(L_h - 1, p_rows[hm])
+            M_h += 1
+            np.add.at(self.messages, cid[hm], M_h)
+            k_h = key[hm]
+            L_h += fstart[hm]
+            r[k_h] = L_h
+            rep[k_h] = True
 
         # Coordinator: advance rounds (sync + lower p) where the estimate
         # doubled. Scanning every counter finds the same ascending ids as
@@ -149,8 +162,9 @@ class BatchCounterEngine:
         if len(adv):
             self._advance_round(adv)
 
-    def _check_pairs(self, cid: np.ndarray, sid: np.ndarray) -> None:
-        """Raise unless ids are in range and ``(cid, sid)`` pairs unique.
+    def _check_pairs(self, cid: np.ndarray, sid: np.ndarray) -> np.ndarray:
+        """The fused keys ``cid * k + sid``, which index the flattened site
+        state; raises unless ids are in range and the pairs unique.
 
         O(rows) on the sorted output every aggregation path emits; other
         input falls back to a sort.
@@ -159,23 +173,35 @@ class BatchCounterEngine:
         _check_range(sid, self.k, "site")
         key = cid * self.k + sid
         if not np.all(key[1:] > key[:-1]):
-            key = np.sort(key)
-            if np.any(key[1:] == key[:-1]):
+            s = np.sort(key)
+            if np.any(s[1:] == s[:-1]):
                 raise ValueError("duplicate (counter, site) pairs in one update")
+        return key
 
     def _estimate(self) -> np.ndarray:
         """``sum_s r_s + (#sites reported this round) * (1/p - 1)`` per
         counter, as in ``SeqDistCounter.estimate`` (>= 0; the integer
-        sums are below 2**53, so float64 holds them exactly)."""
-        return self.r.sum(axis=1) + self.rep.sum(axis=1) * (1.0 / self.p - 1.0)
+        sums are below 2**53, so float64 holds them exactly). The second
+        term is exactly 0.0 at ``p == 1``, so it is only added where
+        ``p < 1``."""
+        est = self.r.sum(axis=1).astype(np.float64)
+        thin = np.flatnonzero(self.p < 1.0)
+        est[thin] += self.rep[thin].sum(axis=1) * (1.0 / self.p[thin] - 1.0)
+        return est
 
     def _advance_round(self, adv: np.ndarray) -> None:
-        """Exact re-sync of stale sites + reporting-probability drop."""
-        fa = self.f[adv]
-        self.messages[adv] += (fa != self.r[adv]).sum(axis=1)  # ids unique
-        self.r[adv] = fa
+        """Exact re-sync of stale sites + reporting-probability drop.
+
+        Only counters with ``p < 1`` can have stale sites: ``p`` never
+        rises, so a counter at ``p == 1`` has reported every increment
+        since it started and its ``r == f`` at every site.
+        """
+        thin = adv[self.p[adv] < 1.0]
+        ft = self.f[thin]
+        self.messages[thin] += (ft != self.r[thin]).sum(axis=1)  # ids unique
+        self.r[thin] = ft
         self.rep[adv] = False
-        exact = fa.sum(axis=1).astype(np.float64)
+        exact = self.f[adv].sum(axis=1).astype(np.float64)
         self.p[adv] = np.clip(
             np.minimum(
                 self.p[adv],

@@ -6,9 +6,10 @@ pair, *how many* increments it received — the batched protocol engine is
 exact given those counts (see ``distmon.batch``). As in the monitoring
 model, sites work locally and one coordinator combines what they send,
 batch by batch in stream order, with no shuffle. The kernel sorts
-nothing: each variable's family block and parent block is one
-``bincount`` of ``counter_id * k + site`` into its slice of a dense
-``n_counters * k`` table, whose nonzero cells are the sorted partial;
+nothing: each variable's family block is one ``bincount`` of
+``counter_id * k + site`` into its slice of a dense ``n_counters * k``
+table, its parent block is the family block summed over the variable's
+own values, and the table's nonzero cells are the sorted partial;
 the coordinator's merge adds the partials into one such table the same
 way. Three paths, all returning numpy ``(counter_id, site, n)`` sorted
 by key:
@@ -47,8 +48,12 @@ def _agg_kernel(
     """Sorted nonzero fused keys ``counter_id * k + site`` and their counts.
 
     Variable ``i``'s family ids and parent ids each fill one contiguous
-    id range, so each block is one ``bincount`` into its own slice of a
-    dense ``n_counters * k`` table; nothing is sorted.
+    id range, so the family block is one ``bincount`` into its own slice
+    of a dense ``n_counters * k`` table; nothing is sorted. The parent
+    block needs no pass over the events: ``F_i(x_par) = sum_{x_i}
+    F_i(x_i, x_par)`` at every site, and family ids run ``x_i`` fastest
+    within each ``x_par``, so it is the family block summed over ``x_i``
+    (exact integer sums).
     """
     m = X.shape[0]
     if m and not (
@@ -59,14 +64,14 @@ def _agg_kernel(
     table = np.empty(net.n_counters * k, dtype=np.int64)
     s64 = sites.astype(np.int64)
     for i in range(net.n):
-        fam, par = net.counter_ids(i, X[:, i], net.parent_config_index(X, i))
-        for ids, lo, hi in (
-            (fam, net.fam_offset[i], net.fam_offset[i + 1]),
-            (par, net.par_offset[i], net.par_offset[i + 1]),
-        ):
-            table[lo * k : hi * k] = np.bincount(
-                (ids - lo) * k + s64, minlength=(hi - lo) * k
-            )
+        cell = net.family_cells(i, X[:, i], net.parent_config_index(X, i))
+        cell *= k
+        cell += s64
+        K, J = int(net.K[i]), int(net.cards[i])
+        lo, plo = net.fam_offset[i] * k, net.par_offset[i] * k
+        fam = table[lo : lo + K * J * k]
+        fam[:] = np.bincount(cell, minlength=len(fam))
+        np.sum(fam.reshape(K, J, k), axis=1, out=table[plo : plo + K * k].reshape(K, k))
     keys = np.flatnonzero(table)
     return keys, table[keys]
 

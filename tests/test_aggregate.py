@@ -18,6 +18,7 @@ from repro import oracle
 from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
 from repro.bayesnet.sampling import CHUNK, sample_events, sample_sites
+from repro.bayesnet.structure import BayesNet
 from repro.stream import aggregate
 from repro.stream.aggregate import (
     _task_bounds,
@@ -202,6 +203,19 @@ class TestKernel:
         keys, cnts = aggregate._agg_kernel(gt.net, X, sites, k)
         want_keys, want_cnts = unique_reference(gt.net, X, sites, k)
         assert keys.dtype == cnts.dtype == np.int64
+        np.testing.assert_array_equal(keys, want_keys)
+        np.testing.assert_array_equal(cnts, want_cnts)
+
+    def test_root_and_wide_family_equal_unique_reference(self):
+        """Parent blocks are family blocks summed over ``x_i``: checked
+        where that sum is over a root's single configuration (K = 1) and
+        over a high-cardinality child of three parents (K = 168, J = 9)."""
+        net = BayesNet("wide", [[], [], [], [0, 1, 2], [3]], [2, 12, 7, 9, 5])
+        rng = np.random.default_rng(11)
+        X = rng.integers(0, net.cards, size=(3000, net.n)).astype(np.int32)
+        sites = rng.integers(0, 6, 3000)
+        keys, cnts = aggregate._agg_kernel(net, X, sites, 6)
+        want_keys, want_cnts = unique_reference(net, X, sites, 6)
         np.testing.assert_array_equal(keys, want_keys)
         np.testing.assert_array_equal(cnts, want_cnts)
 

@@ -241,3 +241,96 @@ class TestStatisticalGuarantees:
             return e.total_messages
 
         assert msgs(0.02) > msgs(0.5)
+
+
+class ReferenceEngine(BatchCounterEngine):
+    """The engine's formulas before its ``p == 1`` shortcuts: a geometric
+    for every row, 2-D indexing, and a stale-site scan and an estimate
+    term for every counter. Same state, same generator calls."""
+
+    def update(self, cid, sid, n):
+        cid = np.asarray(cid, dtype=np.int64)
+        sid = np.asarray(sid, dtype=np.int64)
+        n = np.asarray(n, dtype=np.int64)
+        if len(cid) == 0:
+            return
+        self._check_pairs(cid, sid)
+        p_rows = self.p[cid]
+        fstart = self.f[cid, sid]
+        self.f[cid, sid] = fstart + n
+        u = self.rng.random(len(cid))
+        sat = p_rows >= 1.0
+        with np.errstate(divide="ignore"):
+            G = np.where(
+                sat,
+                0,
+                np.minimum(
+                    np.floor(np.log(u) / np.log1p(-np.minimum(p_rows, 1.0 - 1e-16))), n
+                ),
+            ).astype(np.int64)
+        has_msg = G < n
+        L = n - G
+        M = np.zeros(len(cid), dtype=np.int64)
+        hm = np.nonzero(has_msg)[0]
+        if len(hm):
+            M[hm] = 1 + self.rng.binomial(L[hm] - 1, p_rows[hm])
+            c_h, s_h = cid[hm], sid[hm]
+            self.r[c_h, s_h] = fstart[hm] + L[hm]
+            self.rep[c_h, s_h] = True
+        np.add.at(self.messages, cid, M)
+        adv = np.flatnonzero(self._estimate() >= 2.0 * self.round_est)
+        if len(adv):
+            self._advance_round(adv)
+
+    def _estimate(self):
+        return self.r.sum(axis=1) + self.rep.sum(axis=1) * (1.0 / self.p - 1.0)
+
+    def _advance_round(self, adv):
+        fa = self.f[adv]
+        self.messages[adv] += (fa != self.r[adv]).sum(axis=1)
+        self.r[adv] = fa
+        self.rep[adv] = False
+        exact = fa.sum(axis=1).astype(np.float64)
+        self.p[adv] = np.clip(
+            np.minimum(
+                self.p[adv],
+                self.proto_c * np.sqrt(self.k) / (self.eps[adv] * np.maximum(exact, 1.0)),
+            ),
+            1e-12,
+            1.0,
+        )
+        self.round_est[adv] = np.maximum(exact, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_state_equals_reference_formulas(seed):
+    """Bit for bit, after every update: the whole state and the generator
+    position. Pairs are unique and unsorted, ``n`` mixes 0, 1 and large
+    counts, most updates hold rows at ``p == 1`` and below 1, and every
+    fourth has a message on every row (only ``p == 1`` rows, ``n >= 1``)."""
+    rng = np.random.default_rng([seed, 77])
+    nc, k = 60, 7
+    # Half the counters get an eps so tight that they stay at p = 1.
+    eps = np.where(np.arange(nc) % 2, rng.uniform(0.02, 0.5, nc), 1e-9)
+    new = BatchCounterEngine(eps, k, seed=seed, proto_c=0.3)
+    ref = ReferenceEngine(eps, k, seed=seed, proto_c=0.3)
+    start_p = np.where(rng.random(nc) < 0.5, 1.0, rng.uniform(0.001, 0.99, nc))
+    new.p[:] = ref.p[:] = start_p
+    sizes = np.array([0, 1, 2, 37, 5000, 3_000_000])
+    mixed = 0
+    for step in range(40):
+        every_row_reports = step % 4 == 3
+        pool = np.flatnonzero(np.repeat(new.p == 1.0, k) if every_row_reports else np.ones(nc * k))
+        key = rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False)
+        if every_row_reports:
+            n = rng.choice(sizes[1:], size=len(key))
+        else:
+            n = rng.choice(sizes, size=len(key), p=[0.2, 0.2, 0.2, 0.2, 0.15, 0.05])
+            p_rows = new.p[key // k]
+            mixed += bool(np.any(p_rows == 1.0) and np.any(p_rows < 1.0))
+        for e in (new, ref):
+            e.update(key // k, key % k, n)
+        for name in ("p", "f", "r", "rep", "round_est", "messages"):
+            np.testing.assert_array_equal(getattr(new, name), getattr(ref, name), err_msg=name)
+        assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert mixed >= 20

@@ -91,6 +91,22 @@ class TestEngineInvariants:
         apply(b, batches)
         np.testing.assert_array_equal(a.exact_counts(), b.counts)
 
+    @given(update_sequences(), st.floats(0.01, 0.9), st.integers(0, 99), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_counters_at_p1_have_reported_everything(self, seq, eps, seed, data):
+        """After every update a counter with ``p == 1`` has ``r == f`` at
+        every site: ``p`` never rises, so such a counter has reported every
+        increment. The engine skips its re-sync on this."""
+        nc, k, batches = seq
+        e = BatchCounterEngine(np.full(nc, eps), k, seed=seed)
+        e.p[:] = data.draw(
+            st.lists(st.one_of(st.just(1.0), st.floats(0.01, 0.99)), min_size=nc, max_size=nc)
+        )
+        for batch in batches:
+            apply(e, [batch])
+            at1 = e.p == 1.0
+            np.testing.assert_array_equal(e.r[at1], e.f[at1])
+
     @given(update_sequences(), st.floats(0.01, 0.9))
     @settings(max_examples=30, deadline=None)
     def test_same_seed_same_run(self, seq, eps):

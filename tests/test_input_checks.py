@@ -7,7 +7,7 @@ from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
 from repro.core import budget
 from repro.core.learner import Learner, train_many
-from repro.distmon.batch import BatchCounterEngine
+from repro.distmon.batch import BatchCounterEngine, ExactCounterEngine
 
 
 @pytest.mark.parametrize("eps", [1.5, 0.0, float("nan")])
@@ -31,3 +31,33 @@ def test_engine_rejects_non_finite_eps(bad):
 def test_learner_rejects_repeated_algorithms():
     with pytest.raises(ValueError):
         Learner(networks.naive_bayes(5, 3, 2), ["uniform", "uniform"], k=3, eps=0.1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: BatchCounterEngine(np.full(2, 0.1), 2, seed=0), lambda: ExactCounterEngine(2)],
+    ids=["batch", "exact"],
+)
+def test_engines_reject_negative_increments(make):
+    """A negative count would lower a true count and, in EXACTMLE, the
+    message total; the whole update is refused before any state changes."""
+    e = make()
+    e.update(np.array([0]), np.array([1]), np.array([4]))
+    before = {name: np.copy(v) for name, v in vars(e).items() if isinstance(v, np.ndarray)}
+    with pytest.raises(ValueError, match="negative"):
+        e.update(np.array([0, 1]), np.array([0, 0]), np.array([5, -3]))
+    for name, v in before.items():
+        np.testing.assert_array_equal(getattr(e, name), v)
+    assert e.total_messages == 4
+
+
+def test_zero_increments_draw_one_uniform_and_change_nothing():
+    """Rows with ``n = 0`` stay legal: each takes one uniform, sends no
+    message and leaves the counter where it was, at ``p = 1`` and below."""
+    e = BatchCounterEngine(np.full(2, 0.1), 3, seed=5)
+    e.p[1] = 0.25
+    ref = BatchCounterEngine(np.full(2, 0.1), 3, seed=5).rng
+    e.update(np.array([0, 1, 1]), np.array([2, 0, 1]), np.zeros(3, dtype=np.int64))
+    ref.random(3)
+    assert e.rng.bit_generator.state == ref.bit_generator.state
+    assert e.total_messages == 0 and not e.f.any() and not e.r.any() and not e.rep.any()
