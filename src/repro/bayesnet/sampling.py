@@ -32,18 +32,32 @@ def chunk_edges(lo: int, hi: int) -> list[int]:
     return [lo, *range((lo // CHUNK + 1) * CHUNK, hi, CHUNK), hi]
 
 
+def _slice_uniforms(rng: np.random.Generator, a: int, size: int) -> np.ndarray:
+    """``rng.random(CHUNK)[a : a + size]``, leaving ``rng`` where that full
+    draw would, without drawing the rows outside the slice.
+
+    Exact for PCG64: a double takes one 64-bit output, and ``advance(d)``
+    moves the state as ``d`` outputs would. (It also discards a buffered
+    32-bit half; nothing here draws 32-bit values.)
+    """
+    rng.bit_generator.advance(a)
+    u = rng.random(size)
+    rng.bit_generator.advance(CHUNK - a - size)
+    return u
+
+
 def _sample_chunk(gt: GroundTruth, start: int, size: int, seed: int) -> np.ndarray:
     """Events ``[start, start + size)``, which lie inside one chunk, as an
     ``(size, n)`` column-major int32 matrix."""
     net = gt.net
     chunk_id, a = divmod(start, CHUNK)
-    rng = np.random.default_rng([seed, 0xE7E47, chunk_id])
+    rng = np.random.Generator(np.random.PCG64([seed, 0xE7E47, chunk_id]))
     X = np.empty((size, net.n), dtype=np.int32, order="F")
     for i in net.topo:
         i = int(i)
-        # A full chunk of uniforms per node keeps the RNG stream position
-        # independent of the slice; the slice reads its own rows of it.
-        u = rng.random(CHUNK)[a : a + size]
+        # Each node owns a full chunk of uniforms, so the stream position
+        # does not depend on the slice.
+        u = _slice_uniforms(rng, a, size)
         # Inverse-CDF draw: the value is how many of the first J_i - 1
         # cumulative cells of the row's CPD lie below u.
         cells = np.take(gt.cum_cpds[i], net.parent_config_index(X, i), axis=1)

@@ -25,6 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: The most events one (counter, site) pair may count: ``f`` and ``r`` are
+#: int32 (every sum over sites is taken in int64).
+SITE_COUNT_MAX = int(np.iinfo(np.int32).max)
+
 
 def _check_range(ids: np.ndarray, size: int, what: str) -> None:
     """Raise unless every id lies in ``[0, size)``."""
@@ -65,6 +69,9 @@ class BatchCounterEngine:
     The state is :class:`~repro.distmon.counters.SeqDistCounter`'s, one
     row per counter: ``p``, ``f``, ``r``, ``rep``, ``round_est`` and
     ``messages``. Estimates and the message total are derived from it.
+    The per-site counts ``f`` and ``r`` are int32, so one (counter, site)
+    pair counts at most ``SITE_COUNT_MAX`` events; ``update`` raises
+    before it would pass that.
 
     Parameters
     ----------
@@ -72,7 +79,7 @@ class BatchCounterEngine:
         Per-counter error parameter array ``(n_counters,)`` — the output
         of :mod:`repro.core.budget` for BASELINE / UNIFORM / NONUNIFORM.
     k:
-        Number of sites.
+        Number of sites (``>= 1``).
     seed:
         Protocol RNG seed (site coin flips).
     proto_c:
@@ -81,6 +88,7 @@ class BatchCounterEngine:
         ``(eps C)^2``; the experiment jobs calibrate it down to match the
         operating regime of the paper's implementation (DESIGN.md
         substitution #5), verifying the error guarantee empirically.
+        Must be positive and finite.
     """
 
     def __init__(
@@ -89,14 +97,18 @@ class BatchCounterEngine:
         eps = np.asarray(eps, dtype=np.float64)
         if not np.all(np.isfinite(eps) & (eps > 0)):
             raise ValueError("all counter eps must be positive and finite")
+        if not (np.isfinite(proto_c) and proto_c > 0):
+            raise ValueError("proto_c must be positive and finite")
+        if k < 1:
+            raise ValueError("k must be at least 1")
         self.eps = eps
         self.k = int(k)
         self.proto_c = float(proto_c)
         self.nc = len(eps)
         self.rng = np.random.default_rng([seed, 0xD15C])
         self.p = np.ones(self.nc, dtype=np.float64)
-        self.f = np.zeros((self.nc, k), dtype=np.int64)  # true local counts
-        self.r = np.zeros((self.nc, k), dtype=np.int64)  # synced/reported
+        self.f = np.zeros((self.nc, k), dtype=np.int32)  # true local counts
+        self.r = np.zeros((self.nc, k), dtype=np.int32)  # synced/reported
         self.rep = np.zeros((self.nc, k), dtype=bool)  # reported this round
         self.round_est = np.ones(self.nc, dtype=np.float64)
         self.messages = np.zeros(self.nc, dtype=np.int64)
@@ -112,7 +124,8 @@ class BatchCounterEngine:
         and every ``n >= 0`` (raises ``ValueError`` otherwise: a duplicate
         would keep one write to the site state but charge every copy's
         messages); ``n`` is the number of increments the pair received in
-        this batch.
+        this batch. No pair's count may pass ``SITE_COUNT_MAX`` (raises
+        ``ValueError`` before any state changes).
         """
         cid = np.asarray(cid, dtype=np.int64)
         sid = np.asarray(sid, dtype=np.int64)
@@ -124,7 +137,11 @@ class BatchCounterEngine:
         f, r, rep = self.f.reshape(-1), self.r.reshape(-1), self.rep.reshape(-1)
         p_rows = self.p[cid]
         fstart = f[key]
-        f[key] = fstart + n
+        fend = fstart + n  # int64
+        if fend.max() > SITE_COUNT_MAX:
+            raise ValueError("a (counter, site) count would exceed SITE_COUNT_MAX")
+        f[key] = fend
+        del fend  # rows x 8 bytes, freed before the draws
 
         # Trailing-failure geometric G, capped at n ("no message"), which
         # also maps u = 0 (G = inf) there. It is only drawn where p < 1: at
@@ -184,7 +201,9 @@ class BatchCounterEngine:
         sums are below 2**53, so float64 holds them exactly). The second
         term is exactly 0.0 at ``p == 1``, so it is only added where
         ``p < 1``."""
-        est = self.r.sum(axis=1).astype(np.float64)
+        # einsum accumulates int32 rows in int64 without the buffered cast
+        # ``sum(dtype=np.int64)`` takes (MUNIN: 3.0 against 5.7 ms a call).
+        est = np.einsum("ij->i", self.r, dtype=np.int64).astype(np.float64)
         thin = np.flatnonzero(self.p < 1.0)
         est[thin] += self.rep[thin].sum(axis=1) * (1.0 / self.p[thin] - 1.0)
         return est
@@ -201,7 +220,7 @@ class BatchCounterEngine:
         self.messages[thin] += (ft != self.r[thin]).sum(axis=1)  # ids unique
         self.r[thin] = ft
         self.rep[adv] = False
-        exact = self.f[adv].sum(axis=1).astype(np.float64)
+        exact = self.f[adv].sum(axis=1, dtype=np.int64).astype(np.float64)
         self.p[adv] = np.clip(
             np.minimum(
                 self.p[adv],
@@ -218,4 +237,4 @@ class BatchCounterEngine:
 
     def exact_counts(self) -> np.ndarray:
         """Ground-truth counter values (tests only — not coordinator-visible)."""
-        return self.f.sum(axis=1)
+        return self.f.sum(axis=1, dtype=np.int64)

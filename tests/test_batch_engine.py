@@ -3,7 +3,7 @@ exact-in-distribution suffix-geometric decomposition (DESIGN.md 2.2)."""
 import numpy as np
 import pytest
 
-from repro.distmon.batch import BatchCounterEngine, ExactCounterEngine
+from repro.distmon.batch import SITE_COUNT_MAX, BatchCounterEngine, ExactCounterEngine
 from repro.distmon.counters import SeqDistCounter
 
 
@@ -334,3 +334,38 @@ def test_state_equals_reference_formulas(seed):
             np.testing.assert_array_equal(getattr(new, name), getattr(ref, name), err_msg=name)
         assert new.rng.bit_generator.state == ref.rng.bit_generator.state
     assert mixed >= 20
+
+
+class TestSiteCountWidth:
+    """``f`` and ``r`` are int32 per (counter, site); sums over sites are
+    int64."""
+
+    def test_state_is_int32(self):
+        nc, k = 5, 3
+        e = BatchCounterEngine(np.full(nc, 0.1), k, seed=0)
+        assert e.f.nbytes + e.r.nbytes == 8 * nc * k
+
+    def test_update_past_limit_raises_and_changes_nothing(self):
+        e = BatchCounterEngine(np.full(3, 0.1), 4, seed=2, proto_c=0.3)
+        e.update(np.array([0, 1]), np.array([1, 2]), np.array([7, SITE_COUNT_MAX - 5]))
+        state = {n: np.copy(getattr(e, n)) for n in ("p", "f", "r", "rep", "round_est", "messages")}
+        rng_state = e.rng.bit_generator.state
+        with pytest.raises(ValueError, match="SITE_COUNT_MAX"):
+            e.update(np.array([0, 1]), np.array([0, 2]), np.array([10, 6]))
+        for name, v in state.items():
+            np.testing.assert_array_equal(getattr(e, name), v, err_msg=name)
+        assert e.rng.bit_generator.state == rng_state
+        e.update(np.array([1]), np.array([2]), np.array([5]))  # up to the limit is fine
+        assert e.f[1, 2] == SITE_COUNT_MAX
+
+    def test_sums_over_sites_pass_int32(self):
+        """Every site of counter 0 at the limit: its total is above 2**31
+        and estimates and exact counts read it exactly."""
+        k = 4
+        e = BatchCounterEngine(np.full(2, 0.1), k, seed=3, proto_c=0.3)
+        e.update(np.zeros(k, dtype=np.int64), np.arange(k), np.full(k, SITE_COUNT_MAX))
+        total = k * SITE_COUNT_MAX
+        assert total > 2**31
+        assert e.exact_counts().tolist() == [total, 0]
+        assert e.estimates().tolist() == [float(total), 0.0]
+        assert e.round_est[0] == float(total) and e.p[0] < 1.0

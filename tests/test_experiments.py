@@ -109,3 +109,26 @@ class TestReport:
         with open(p) as f:
             back = json.load(f)
         assert back["x"] == 1.5
+
+
+def test_message_ordering_is_computed_against_paper():
+    """One network in the paper's Table 3 order and one not: only the
+    second is named, with both orderings."""
+    def table(msgs):
+        return {a: {"messages": v} for a, v in zip(ex.ALGOS, msgs)}
+
+    tables23 = {
+        "alarm": table([9_000, 800, 400, 300]),  # paper order
+        "munin": table([9_000, 800, 300, 400]),  # nonuniform above uniform
+    }
+    lines = ex.message_ordering_lines(tables23)
+    text = "\n".join(lines)
+    assert lines[0].startswith("The message ordering") and "does not match" in lines[0]
+    assert "MUNIN" in lines[0] and "matches on ALARM" in lines[0]
+    assert "- MUNIN: ours exact > baseline > nonuniform > uniform;" in text
+    assert "- ALARM" not in text
+    ok = ex.message_ordering_lines({"alarm": tables23["alarm"]})
+    assert ok == ["The message ordering matches the paper on every network (ALARM)."]
+    assert ex.message_order({"exact": 5, "baseline": 3, "uniform": 3, "nonuniform": 1}) == (
+        "exact > baseline = uniform > nonuniform"
+    )

@@ -61,3 +61,17 @@ def test_zero_increments_draw_one_uniform_and_change_nothing():
     ref.random(3)
     assert e.rng.bit_generator.state == ref.bit_generator.state
     assert e.total_messages == 0 and not e.f.any() and not e.r.any() and not e.rep.any()
+
+
+@pytest.mark.parametrize("proto_c", [0.0, -1.0, np.nan, np.inf])
+def test_engine_rejects_bad_proto_c(proto_c):
+    """A non-positive constant would clip every ``p`` to 1e-12 and a NaN
+    one would fail inside ``rng.binomial`` after ``f`` had moved."""
+    with pytest.raises(ValueError, match="proto_c"):
+        BatchCounterEngine(np.full(4, 0.1), 3, seed=0, proto_c=proto_c)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_engine_rejects_no_sites(k):
+    with pytest.raises(ValueError, match="k must"):
+        BatchCounterEngine(np.full(4, 0.1), k, seed=0)

@@ -110,3 +110,20 @@ class TestSliceConsistency:
         part = sampling.sample_events(gt, lo, hi, seed=17)
         assert part.shape == (hi - lo, gt.net.n) and part.dtype == np.int32
         np.testing.assert_array_equal(part, full[lo:hi])
+
+
+@pytest.mark.parametrize(
+    "a, size",
+    [(0, sampling.CHUNK), (0, 1), (0, 100), (1, 0), (5, 17),
+     (3000, 4000), (sampling.CHUNK - 100, 100), (sampling.CHUNK - 1, 1)],
+)
+def test_slice_uniforms_equal_full_chunk_slice(a, size):
+    """Advancing past the rows outside the slice reads the same doubles
+    as slicing the full-chunk draw and leaves the generator where that
+    draw does, twice in a row (as for consecutive nodes)."""
+    fast = np.random.Generator(np.random.PCG64([3, 0xE7E47, 11]))
+    full = np.random.Generator(np.random.PCG64([3, 0xE7E47, 11]))
+    for _ in range(2):
+        u = sampling._slice_uniforms(fast, a, size)
+        np.testing.assert_array_equal(u, full.random(sampling.CHUNK)[a : a + size])
+        assert fast.bit_generator.state == full.bit_generator.state
