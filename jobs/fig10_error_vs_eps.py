@@ -5,25 +5,14 @@ Usage: python jobs/fig10_error_vs_eps.py [network]
 """
 import sys
 
-from repro.experiments import Config, error_vs_eps
+from repro import experiments as ex
 
 
 def main() -> None:
-    name = sys.argv[1] if len(sys.argv) > 1 else "hepar2"
-    cfg = Config()
-    rows = error_vs_eps(name, [0.02, 0.05, 0.1, 0.2, 0.4], cfg)
-    print(f"\nFigure 10 — error vs eps ({name}, m={cfg.m})")
-    print(
-        f"{'eps':>6s} {'exact|gt':>9s} {'base|gt':>9s} {'unif|gt':>9s} "
-        f"{'nonu|gt':>9s} {'base|mle':>9s} {'unif|mle':>9s} {'nonu|mle':>9s}"
-    )
-    for r in rows:
-        print(
-            f"{r['eps']:>6.2f} {r['exact_err_gt']:>9.4f} "
-            f"{r['baseline_err_gt']:>9.4f} {r['uniform_err_gt']:>9.4f} "
-            f"{r['nonuniform_err_gt']:>9.4f} {r['baseline_err_mle']:>9.4f} "
-            f"{r['uniform_err_mle']:>9.4f} {r['nonuniform_err_mle']:>9.4f}"
-        )
+    name = sys.argv[1] if len(sys.argv) > 1 else ex.FIG10_NETWORK
+    cfg = ex.Config()
+    results = {"fig10_network": name, "fig10": ex.error_vs_eps(name, ex.FIG10_EPS, cfg)}
+    print(ex.render_sections(results, cfg), end="")
 
 
 if __name__ == "__main__":

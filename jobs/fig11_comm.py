@@ -5,30 +5,17 @@ Usage: spark-submit jobs/fig11_comm.py [m_for_new_alarm]
 """
 import sys
 
-from repro.experiments import ALGOS, Config, comm_vs_k, get_spark, new_alarm_comm
+from repro import experiments as ex
 
 
 def main() -> None:
-    cfg = Config()
-    rows = comm_vs_k("alarm", [10, 20, 30, 40, 50], cfg)
-    print(f"\nFigure 11(a) — messages vs k (alarm, m={cfg.m})")
-    print(f"{'k':>4s} " + " ".join(f"{a:>12s}" for a in ALGOS))
-    for r in rows:
-        print(f"{r['k']:>4d} " + " ".join(f"{r[a]:>12,}" for a in ALGOS))
-
-    m = int(sys.argv[1]) if len(sys.argv) > 1 else 5_000_000
-    res = new_alarm_comm(get_spark(), m, cfg, paper_regime=True)
-    print(f"\nFigure 11(b) — NEW-ALARM, m={m:,}")
-    for row in res["rows"]:
-        print(
-            f"  m={row['m']:>10,} uniform={row['uniform']:>12,} "
-            f"nonuniform={row['nonuniform']:>12,} saving={row['saving']:.1%}"
-        )
-    pr = res["paper_regime"]
-    print(
-        f"paper-regime proto_c={pr['proto_c']}: saving={pr['saving']:.1%} "
-        "(paper: ~35%)"
-    )
+    m = int(sys.argv[1]) if len(sys.argv) > 1 else ex.FIG11B_M
+    cfg = ex.Config()
+    results = {
+        "fig11a": ex.comm_vs_k(ex.FIG11A_NETWORK, ex.FIG11A_K, cfg),
+        "fig11b": ex.new_alarm_comm(ex.get_spark(), m, cfg),
+    }
+    print(ex.render_sections(results, cfg), end="")
 
 
 if __name__ == "__main__":

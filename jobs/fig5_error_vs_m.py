@@ -5,26 +5,15 @@ Usage: spark-submit jobs/fig5_error_vs_m.py [network] [m_max]
 """
 import sys
 
-from repro.experiments import Config, error_vs_m, get_spark
+from repro import experiments as ex
 
 
 def main() -> None:
-    name = sys.argv[1] if len(sys.argv) > 1 else "hepar2"
-    m_max = int(sys.argv[2]) if len(sys.argv) > 2 else 500_000
-    cfg = Config()
-    rows = error_vs_m(get_spark(), name, m_max, cfg)
-    print(f"\nFigures 3-8 — testing error vs training points ({name})")
-    print(
-        f"{'m':>10s} {'exact|gt':>9s} {'base|gt':>9s} {'unif|gt':>9s} "
-        f"{'nonu|gt':>9s} {'base|mle':>9s} {'unif|mle':>9s} {'nonu|mle':>9s}"
-    )
-    for r in rows:
-        print(
-            f"{r['m']:>10,} {r['exact_err_gt']:>9.4f} "
-            f"{r['baseline_err_gt']:>9.4f} {r['uniform_err_gt']:>9.4f} "
-            f"{r['nonuniform_err_gt']:>9.4f} {r['baseline_err_mle']:>9.4f} "
-            f"{r['uniform_err_mle']:>9.4f} {r['nonuniform_err_mle']:>9.4f}"
-        )
+    name = sys.argv[1] if len(sys.argv) > 1 else ex.FIG5_NETWORK
+    m_max = int(sys.argv[2]) if len(sys.argv) > 2 else ex.FIG5_M
+    cfg = ex.Config()
+    results = {"fig5_network": name, "fig5": ex.error_vs_m(ex.get_spark(), name, m_max, cfg)}
+    print(ex.render_sections(results, cfg), end="")
 
 
 if __name__ == "__main__":

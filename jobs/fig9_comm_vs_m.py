@@ -5,21 +5,15 @@ Usage: spark-submit jobs/fig9_comm_vs_m.py [network] [m_max]
 """
 import sys
 
-from repro.experiments import ALGOS, Config, comm_vs_m, get_spark
+from repro import experiments as ex
 
 
 def main() -> None:
-    name = sys.argv[1] if len(sys.argv) > 1 else "alarm"
-    m_max = int(sys.argv[2]) if len(sys.argv) > 2 else 1_000_000
-    cfg = Config()
-    hist = comm_vs_m(get_spark(), name, m_max, cfg)
-    print(f"\nFigure 9 — messages vs training points ({name})")
-    print(f"{'m':>10s} " + " ".join(f"{a:>12s}" for a in ALGOS) + f" {'reduction':>10s}")
-    checkpoints = [m for m, _ in hist["exact"]][1:]
-    for i, m in enumerate(checkpoints, start=1):
-        row = [hist[a][i][1] for a in ALGOS]
-        red = row[0] / max(row[-1], 1)
-        print(f"{m:>10,} " + " ".join(f"{v:>12,}" for v in row) + f" {red:>9.1f}x")
+    name = sys.argv[1] if len(sys.argv) > 1 else ex.FIG9_NETWORK
+    m_max = int(sys.argv[2]) if len(sys.argv) > 2 else ex.FIG9_M
+    cfg = ex.Config()
+    results = {"fig9_network": name, "fig9": ex.comm_vs_m(ex.get_spark(), name, m_max, cfg)}
+    print(ex.render_sections(results, cfg), end="")
 
 
 if __name__ == "__main__":

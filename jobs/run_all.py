@@ -1,56 +1,39 @@
-"""Run every experiment and regenerate EXPERIMENTS.md + results/.
+"""Run every experiment at full scale and regenerate EXPERIMENTS.md +
+results/: the paper's tables (m=50K, k=30, eps=0.1, 1000 tests) plus
+the supplementary figure-shaped sweeps.
 
-Usage: spark-submit jobs/run_all.py [--quick]
-
-``--quick`` shrinks the sweeps (used by CI-style smoke runs); the
-default reproduces the paper's table scale (m=50K, k=30, eps=0.1,
-1000 tests) plus the supplementary figure-shaped sweeps.
+Usage: spark-submit jobs/run_all.py
 """
 import os
-import sys
 import time
 
 from repro import experiments as ex
 
 
 def main() -> None:
-    quick = "--quick" in sys.argv
     cfg = ex.Config()
     spark = ex.get_spark()
-    results: dict = {}
     t0 = time.time()
 
     def stamp(label: str) -> None:
         print(f"[run_all] {label} done at {time.time()-t0:.0f}s", flush=True)
 
-    results["table1"] = ex.table1_rows()
+    results: dict = {"table1": ex.table1_rows()}
     stamp("table1")
-
-    nets = ["alarm", "hepar2"] if quick else list(ex.NETWORKS)
-    results["tables23"] = ex.run_tables23(spark, cfg, nets)
+    results["tables23"] = ex.run_tables23(spark, cfg)
     stamp("tables 2+3")
-
-    fig9_m = 100_000 if quick else 1_000_000
-    results["fig9_network"] = "alarm"
-    results["fig9"] = ex.comm_vs_m(spark, "alarm", fig9_m, cfg)
+    results["fig9_network"] = ex.FIG9_NETWORK
+    results["fig9"] = ex.comm_vs_m(spark, ex.FIG9_NETWORK, ex.FIG9_M, cfg)
     stamp("fig9")
-
-    fig5_m = 50_000 if quick else 500_000
-    results["fig5_network"] = "hepar2"
-    results["fig5"] = ex.error_vs_m(spark, "hepar2", fig5_m, cfg)
+    results["fig5_network"] = ex.FIG5_NETWORK
+    results["fig5"] = ex.error_vs_m(spark, ex.FIG5_NETWORK, ex.FIG5_M, cfg)
     stamp("fig5")
-
-    results["fig10_network"] = "hepar2"
-    results["fig10"] = ex.error_vs_eps("hepar2", [0.02, 0.05, 0.1, 0.2, 0.4], cfg)
+    results["fig10_network"] = ex.FIG10_NETWORK
+    results["fig10"] = ex.error_vs_eps(ex.FIG10_NETWORK, ex.FIG10_EPS, cfg)
     stamp("fig10")
-
-    results["fig11a"] = ex.comm_vs_k("alarm", [10, 20, 30, 40, 50], cfg)
+    results["fig11a"] = ex.comm_vs_k(ex.FIG11A_NETWORK, ex.FIG11A_K, cfg)
     stamp("fig11a")
-
-    fig11b_m = 200_000 if quick else 5_000_000
-    results["fig11b"] = ex.new_alarm_comm(
-        spark, fig11b_m, cfg, paper_regime=not quick
-    )
+    results["fig11b"] = ex.new_alarm_comm(spark, ex.FIG11B_M, cfg)
     stamp("fig11b")
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

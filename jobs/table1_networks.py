@@ -1,21 +1,12 @@
 """Table 1: the networks used in the experiments (paper vs stand-ins).
 
-Usage: spark-submit jobs/table1_networks.py   (no Spark needed, but kept
-uniform with the other entrypoints).
+Usage: python jobs/table1_networks.py   (no Spark needed)
 """
-from repro.experiments import table1_rows
+from repro import experiments as ex
 
 
 def main() -> None:
-    rows = table1_rows()
-    print(f"{'Dataset':10s} {'Nodes':>12s} {'Edges':>12s} {'Parameters':>16s}")
-    for r in rows:
-        print(
-            f"{r['network']:10s} "
-            f"{r['nodes']:>5d}/{r['paper_nodes']:<5d} "
-            f"{r['edges']:>5d}/{r['paper_edges']:<5d} "
-            f"{r['params']:>7d}/{r['paper_params']:<7d}   (ours/paper)"
-        )
+    print(ex.render_sections({"table1": ex.table1_rows()}, ex.Config()), end="")
 
 
 if __name__ == "__main__":

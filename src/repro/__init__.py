@@ -3,6 +3,7 @@
 
 Subpackages: ``bayesnet`` (network substrate), ``distmon`` (distributed
 counter protocol), ``stream`` (Spark dataflow), ``core`` (the paper's
-algorithms), plus ``experiments`` (table/figure harness), ``synth_data``
-(event-stream DataFrame) and ``oracle`` (DuckDB result-equality checks).
+algorithms), plus ``experiments`` (table/figure harness, sweep
+parameters and the EXPERIMENTS.md renderer) and ``oracle`` (DuckDB
+result-equality checks).
 """

@@ -1,5 +1,7 @@
 """Experiment harness: reproduces every table of the evaluation section
-(and the figure-shaped supplementary sweeps) and renders EXPERIMENTS.md.
+(and the figure-shaped supplementary sweeps), holds the full-scale sweep
+parameters, and is the one renderer of EXPERIMENTS.md: one function per
+section, and every job prints the sections of the results it computes.
 
 The paper's reference numbers are embedded here so the rendered report
 shows *paper vs measured* side by side. Configuration comes from env
@@ -22,8 +24,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.bayesnet import networks
 from repro.core import classify
 from repro.core.learner import ALGORITHMS, TrainResult, train_many
@@ -31,7 +31,16 @@ from repro.core.model import CountModel, mean_abs_ratio_error
 
 #: The four algorithms of the paper's tables (Algorithm 4 is Naive-Bayes only).
 ALGOS = [a for a, spec in ALGORITHMS.items() if not spec.shared_parents]
+APPROX = [a for a in ALGOS if a != "exact"]
 NETWORKS = ["alarm", "hepar2", "link", "munin"]
+
+# Full-scale sweeps of the supplementary figure tables: what
+# jobs/run_all.py runs, and each figure job's defaults.
+FIG9_NETWORK, FIG9_M = "alarm", 1_000_000
+FIG5_NETWORK, FIG5_M = "hepar2", 500_000
+FIG10_NETWORK, FIG10_EPS = "hepar2", [0.02, 0.05, 0.1, 0.2, 0.4]
+FIG11A_NETWORK, FIG11A_K = "alarm", [10, 20, 30, 40, 50]
+FIG11B_M = 5_000_000
 
 # ----------------------------------------------------------------- paper
 # Reference numbers transcribed from the paper.
@@ -51,21 +60,10 @@ PAPER_TABLE2 = {  # classification error rate, 50K training instances
 }
 
 PAPER_TABLE3 = {  # messages to learn the classifier, 50K instances
-    "alarm": dict(
-        exact=3_700_000, baseline=406_721, uniform=323_710, nonuniform=322_639
-    ),
-    "hepar2": dict(
-        exact=7_000_000, baseline=1_079_385, uniform=758_631, nonuniform=754_429
-    ),
-    "link": dict(
-        exact=72_400_000, baseline=29_781_937, uniform=8_223_133, nonuniform=8_062_889
-    ),
-    "munin": dict(
-        exact=104_100_000,
-        baseline=34_388_688,
-        uniform=11_317_844,
-        nonuniform=11_261_617,
-    ),
+    "alarm": dict(exact=3_700_000, baseline=406_721, uniform=323_710, nonuniform=322_639),
+    "hepar2": dict(exact=7_000_000, baseline=1_079_385, uniform=758_631, nonuniform=754_429),
+    "link": dict(exact=72_400_000, baseline=29_781_937, uniform=8_223_133, nonuniform=8_062_889),
+    "munin": dict(exact=104_100_000, baseline=34_388_688, uniform=11_317_844, nonuniform=11_261_617),
 }
 
 
@@ -103,27 +101,25 @@ def table1_rows() -> list[dict]:
     rows = []
     for name in NETWORKS:
         net = networks.make(name)
-        p = PAPER_TABLE1[name]
-        rows.append(
-            dict(
-                network=name,
-                nodes=net.n,
-                edges=net.n_edges,
-                params=net.n_params,
-                paper_nodes=p["nodes"],
-                paper_edges=p["edges"],
-                paper_params=p["params"],
-            )
-        )
+        rows.append(dict(
+            network=name, nodes=net.n, edges=net.n_edges, params=net.n_params,
+            **{f"paper_{key}": v for key, v in PAPER_TABLE1[name].items()},
+        ))
     return rows
 
 
 # --------------------------------------------------------- Tables 2 & 3
 
 
-def evaluate_models(
-    gt, results: dict[str, TrainResult], cfg: Config
-) -> dict[str, dict]:
+def _train(spark, gt, cfg: Config, algos=ALGOS, **over) -> dict[str, TrainResult]:
+    """``train_many`` at ``cfg``'s settings; ``over`` replaces any of
+    them (m, k, eps, proto_c) or adds ``collect_snapshots``."""
+    kw = dict(m=cfg.m, k=cfg.k, eps=cfg.eps, seed=cfg.seed,
+              proto_c=cfg.proto_c, first_batch=cfg.first_batch)
+    return train_many(spark, gt, algos, **{**kw, **over})
+
+
+def evaluate_models(gt, results: dict[str, TrainResult], cfg: Config) -> dict[str, dict]:
     """Per-algorithm metrics: messages (Table 3), classification error
     (Table 2), and the figure-style testing errors."""
     Xt, targets = classify.make_tests(gt, cfg.n_tests, seed=cfg.seed + 1)
@@ -136,9 +132,7 @@ def evaluate_models(
             messages=int(r.total_messages),
             cls_err=classify.error_rate(r.model, gt.net, Xt, targets),
             err_gt=mean_abs_ratio_error(lp, lp_true),
-            err_mle=(
-                mean_abs_ratio_error(lp, lp_mle) if lp_mle is not None else None
-            ),
+            err_mle=None if lp_mle is None else mean_abs_ratio_error(lp, lp_mle),
         )
     return out
 
@@ -149,18 +143,7 @@ def run_tables23(spark, cfg: Config, names=NETWORKS) -> dict[str, dict]:
     out = {}
     for name in names:
         gt = networks.ground_truth(name)
-        res = train_many(
-            spark,
-            gt,
-            ALGOS,
-            m=cfg.m,
-            k=cfg.k,
-            eps=cfg.eps,
-            seed=cfg.seed,
-            proto_c=cfg.proto_c,
-            first_batch=cfg.first_batch,
-        )
-        out[name] = evaluate_models(gt, res, cfg)
+        out[name] = evaluate_models(gt, _train(spark, gt, cfg), cfg)
     return out
 
 
@@ -170,11 +153,7 @@ def run_tables23(spark, cfg: Config, names=NETWORKS) -> dict[str, dict]:
 def comm_vs_m(spark, name: str, m_max: int, cfg: Config) -> dict:
     """Figure 9: cumulative messages at every (doubling) checkpoint up to
     ``m_max`` — one training run, read off the history."""
-    gt = networks.ground_truth(name)
-    res = train_many(
-        spark, gt, ALGOS, m=m_max, k=cfg.k, eps=cfg.eps, seed=cfg.seed,
-        proto_c=cfg.proto_c, first_batch=cfg.first_batch,
-    )
+    res = _train(spark, networks.ground_truth(name), cfg, m=m_max)
     return {algo: res[algo].history for algo in ALGOS}
 
 
@@ -182,17 +161,14 @@ def error_vs_m(spark, name: str, m_max: int, cfg: Config) -> list[dict]:
     """Figures 3-8: testing error (vs ground truth and vs EXACTMLE) as a
     function of the number of training points, from model snapshots."""
     gt = networks.ground_truth(name)
-    res = train_many(
-        spark, gt, ALGOS, m=m_max, k=cfg.k, eps=cfg.eps, seed=cfg.seed,
-        proto_c=cfg.proto_c, first_batch=cfg.first_batch, collect_snapshots=True,
-    )
+    res = _train(spark, gt, cfg, m=m_max, collect_snapshots=True)
     Xt, _ = classify.make_tests(gt, cfg.n_tests, seed=cfg.seed + 1)
     lp_true = gt.log_prob(Xt)
     rows = []
     for b, (events, exact_vals) in enumerate(res["exact"].snapshots):
         lp_mle = CountModel(gt.net, exact_vals).log_prob(Xt)
         row = dict(m=events, exact_err_gt=mean_abs_ratio_error(lp_mle, lp_true))
-        for algo in ["baseline", "uniform", "nonuniform"]:
+        for algo in APPROX:
             lp = CountModel(gt.net, res[algo].snapshots[b][1]).log_prob(Xt)
             row[f"{algo}_err_gt"] = mean_abs_ratio_error(lp, lp_true)
             row[f"{algo}_err_mle"] = mean_abs_ratio_error(lp, lp_mle)
@@ -206,74 +182,56 @@ def error_vs_eps(name: str, eps_list: list[float], cfg: Config) -> list[dict]:
     gt = networks.ground_truth(name)
     rows = []
     for eps in eps_list:
-        res = train_many(
-            None, gt, ALGOS, m=cfg.m, k=cfg.k, eps=eps, seed=cfg.seed,
-            proto_c=cfg.proto_c, first_batch=cfg.first_batch,
-        )
-        ev = evaluate_models(gt, res, cfg)
-        rows.append(
-            dict(eps=eps, **{f"{a}_err_gt": ev[a]["err_gt"] for a in ALGOS},
-                 **{f"{a}_err_mle": ev[a]["err_mle"] for a in ALGOS if a != "exact"})
-        )
+        ev = evaluate_models(gt, _train(None, gt, cfg, eps=eps), cfg)
+        rows.append(dict(eps=eps, **{f"{a}_err_gt": ev[a]["err_gt"] for a in ALGOS},
+                         **{f"{a}_err_mle": ev[a]["err_mle"] for a in APPROX}))
     return rows
 
 
 def comm_vs_k(name: str, k_list: list[int], cfg: Config) -> list[dict]:
     """Figure 11(a): messages vs number of sites."""
     gt = networks.ground_truth(name)
-    rows = []
-    for k in k_list:
-        res = train_many(
-            None, gt, ALGOS, m=cfg.m, k=k, eps=cfg.eps, seed=cfg.seed,
-            proto_c=cfg.proto_c, first_batch=cfg.first_batch,
-        )
-        rows.append(dict(k=k, **{a: res[a].total_messages for a in ALGOS}))
-    return rows
+    runs = ((k, _train(None, gt, cfg, k=k)) for k in k_list)
+    return [dict(k=k, **{a: res[a].total_messages for a in ALGOS}) for k, res in runs]
 
 
-def new_alarm_comm(spark, m: int, cfg: Config, paper_regime: bool = False) -> dict:
+def new_alarm_comm(spark, m: int, cfg: Config) -> dict:
     """Figure 11(b): UNIFORM vs NONUNIFORM on the heterogeneous
     NEW-ALARM network (paper: NONUNIFORM ~35% cheaper).
 
     Returns the saving at every (doubling) checkpoint — the saving grows
     with m as the high-cardinality counters enter the thinning regime.
-    With ``paper_regime`` an extra run at ``proto_c/10`` shows the
+    A second run, at ``proto_c/10`` (``paper_regime``), shows the
     operating point of the paper's (more aggressive) implementation,
     where the asymptotic saving appears at feasible m (DESIGN.md #5).
     """
     gt = networks.ground_truth("new-alarm")
 
     def sweep(proto_c: float) -> list[dict]:
-        res = train_many(
-            spark, gt, ["uniform", "nonuniform"], m=m, k=cfg.k, eps=cfg.eps,
-            seed=cfg.seed, proto_c=proto_c, first_batch=cfg.first_batch,
-        )
-        rows = []
-        for (mm, u), (_, nu) in zip(
-            res["uniform"].history[1:], res["nonuniform"].history[1:]
-        ):
-            rows.append(dict(m=mm, uniform=u, nonuniform=nu, saving=1 - nu / u))
-        return rows
+        res = _train(spark, gt, cfg, ["uniform", "nonuniform"], m=m, proto_c=proto_c)
+        return [
+            dict(m=mm, uniform=u, nonuniform=nu, saving=1 - nu / u)
+            for (mm, u), (_, nu) in zip(
+                res["uniform"].history[1:], res["nonuniform"].history[1:]
+            )
+        ]
 
     rows = sweep(cfg.proto_c)
-    out = dict(m=m, rows=rows, **{k: rows[-1][k] for k in ("uniform", "nonuniform", "saving")})
-    if paper_regime:
-        out["paper_regime"] = sweep(cfg.proto_c / 10)[-1]
-        out["paper_regime"]["proto_c"] = cfg.proto_c / 10
-    return out
+    paper = dict(sweep(cfg.proto_c / 10)[-1], proto_c=cfg.proto_c / 10)
+    return dict(m=m, rows=rows, **{k: rows[-1][k] for k in ("uniform", "nonuniform", "saving")},
+                paper_regime=paper)
 
 
 # ------------------------------------------------------------ reporting
+# One function per report section, each ``(results, cfg) -> markdown``.
+# EXPERIMENTS.md is the header plus every section whose results key is
+# present; each job prints the sections of the results it computed.
 
 
 def save_json(path: str, obj) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, default=float)
-
-
-def fmt_int(v) -> str:
-    return f"{int(v):,}"
 
 
 def message_order(msgs: dict) -> str:
@@ -307,189 +265,252 @@ def message_ordering_lines(tables23: dict) -> list[str]:
     ]
 
 
-def render_experiments_md(r: dict, cfg: Config) -> str:
-    """Render the full paper-vs-measured report (EXPERIMENTS.md)."""
-    L: list[str] = []
-    w = L.append
-    w("# EXPERIMENTS — paper vs measured")
-    w("")
-    w("Reproduction of *Learning Graphical Models from a Distributed Stream*")
-    w("(Zhang, Tirthapura, Cormode — ICDE 2018). Regenerate with")
-    w("`python jobs/run_all.py` (knobs: `REPRO_M`, `REPRO_K`, `REPRO_EPS`,")
-    w("`REPRO_TESTS`, `REPRO_SEED`, `REPRO_PROTO_C`; see DESIGN.md).")
-    w("")
-    w(
+def _md(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _table(head: list[str], rows) -> list[str]:
+    """A markdown table: the header cells, then one line per row of cells."""
+    return [
+        "| " + " | ".join(head) + " |",
+        "|" + "---|" * len(head),
+        *("| " + " | ".join(map(str, row)) + " |" for row in rows),
+    ]
+
+
+def _reductions(hist: dict) -> list[tuple[int, float]]:
+    """Figure 9's ``(m, exact/nonuniform messages)`` per checkpoint."""
+    return [
+        (hist["exact"][i][0], hist["exact"][i][1] / max(hist["nonuniform"][i][1], 1))
+        for i in range(1, len(hist["exact"]))
+    ]
+
+
+def fig9_lines(r: dict) -> list[str]:
+    """Table 3's sentence on how the reduction grows with m, computed
+    from Figure 9's run; none without one."""
+    if "fig9" not in r:
+        return []
+    red = _reductions(r["fig9"])
+    grows = all(b >= a for (_, a), (_, b) in zip(red, red[1:]))
+    out = (
+        f"The reduction {'grows' if grows else 'does not grow steadily'} with m "
+        f"(Figure 9 below, {r['fig9_network'].upper()}): it reaches "
+        f"{red[-1][1]:.1f}x at m={red[-1][0]:,}"
+    )
+    doubled = [i for i in range(1, len(red)) if red[i][0] >= 2 * red[i - 1][0]]
+    if doubled:
+        (m0, r0), (m1, r1) = red[doubled[-1] - 1], red[doubled[-1]]
+        out += (
+            f", and over the last doubling of m ({m0:,} → {m1:,} events) it "
+            f"went {r0:.1f}x → {r1:.1f}x, {r1 / r0:.1f}x per doubling"
+        )
+    return [out + "."]
+
+
+def fig5_lines(rows: list[dict]) -> list[str]:
+    """Figures 3-8's sentence on the approximation error (vs EXACTMLE)
+    as m grows, computed from the rows."""
+    errs = [[row[f"{a}_err_mle"] for a in APPROX] for row in rows]
+    nonzero = [i for i, e in enumerate(errs) if max(e) > 0]
+    if not nonzero:
+        return ["Error vs EXACTMLE (approximation error) is 0 at every m."]
+    i = nonzero[0]
+    (lo0, hi0), (lo1, hi1) = (min(errs[i]), max(errs[i])), (min(errs[-1]), max(errs[-1]))
+    zero = f" is 0 up to m={rows[i - 1]['m']:,} and" if i else ""
+    return [
+        f"Error vs EXACTMLE (approximation error){zero} "
+        f"{'rises' if hi1 > hi0 else 'does not rise'} from {lo0:.4f}–{hi0:.4f} "
+        f"at m={rows[i]['m']:,} to {lo1:.4f}–{hi1:.4f} at m={rows[-1]['m']:,} "
+        f"(the range over {', '.join(APPROX)})."
+    ]
+
+
+def _err_table(first: str, rows: list[tuple]) -> list[str]:
+    """Figures 3-8 and 10: every algorithm's error vs the ground truth,
+    then every approximate one's vs EXACTMLE, one row per sweep point."""
+    keys = ["exact_err_gt", *(f"{a}_err_gt" for a in APPROX),
+            *(f"{a}_err_mle" for a in APPROX)]
+    head = [k.replace("_err_gt", " err(GT)").replace("_err_mle", " err(MLE)") for k in keys]
+    return _table([first, *head], ([x, *(f"{row[k]:.4f}" for k in keys)] for x, row in rows))
+
+
+def render_header(cfg: Config) -> str:
+    return _md([
+        "# EXPERIMENTS — paper vs measured",
+        "",
+        "Reproduction of *Learning Graphical Models from a Distributed Stream*",
+        "(Zhang, Tirthapura, Cormode — ICDE 2018). Regenerate with",
+        "`python jobs/run_all.py` (knobs: `REPRO_M`, `REPRO_K`, `REPRO_EPS`,",
+        "`REPRO_TESTS`, `REPRO_SEED`, `REPRO_PROTO_C`; see DESIGN.md).",
+        "",
         f"Run configuration: m={cfg.m:,} training events, k={cfg.k} sites, "
         f"eps={cfg.eps}, {cfg.n_tests} test events, proto_c={cfg.proto_c}, "
-        f"seed={cfg.seed}."
+        f"seed={cfg.seed}.",
+        "",
+        "Substitutions that affect absolute numbers (DESIGN.md §5): the",
+        "networks are synthetic stand-ins matched to Table 1's shape; the",
+        "distributed-counter reporting constant `proto_c` is calibrated so",
+        "the (eps, delta) guarantee holds empirically while the counters",
+        "operate in the thinning regime the paper's implementation shows.",
+        "Compare *shapes* (orderings, relative gaps, growth in m), not raw",
+        "message counts.",
+        "",
+    ])
+
+
+def render_table1(r: dict, cfg: Config) -> str:
+    rows = [
+        [x["network"].upper(), f"{x['nodes']} / {x['paper_nodes']}",
+         f"{x['edges']} / {x['paper_edges']}", f"{x['params']:,} / {x['paper_params']:,}"]
+        for x in r["table1"]
+    ]
+    head = ["Dataset", *(f"{c} (ours/paper)" for c in ("Nodes", "Edges", "Parameters"))]
+    return _md(["## Table 1 — networks used in the experiments", "", *_table(head, rows), ""])
+
+
+def _ours_paper(t: dict, cell) -> list[str]:
+    """Table 2 or 3: one row per network, ``cell(name, algo)`` per algorithm."""
+    return _table(
+        ["Dataset", *(f"{a} (ours/paper)" for a in ALGOS)],
+        ([n.upper(), *(cell(n, a) for a in ALGOS)] for n in NETWORKS if n in t),
     )
-    w("")
-    w("Substitutions that affect absolute numbers (DESIGN.md §5): the")
-    w("networks are synthetic stand-ins matched to Table 1's shape; the")
-    w("distributed-counter reporting constant `proto_c` is calibrated so")
-    w("the (eps, delta) guarantee holds empirically while the counters")
-    w("operate in the thinning regime the paper's implementation shows.")
-    w("Compare *shapes* (orderings, relative gaps, growth in m), not raw")
-    w("message counts.")
-    w("")
 
-    # ---- Table 1
-    w("## Table 1 — networks used in the experiments")
-    w("")
-    w("| Dataset | Nodes (ours/paper) | Edges (ours/paper) | Parameters (ours/paper) |")
-    w("|---|---|---|---|")
-    for row in r["table1"]:
-        w(
-            f"| {row['network'].upper()} | {row['nodes']} / {row['paper_nodes']} "
-            f"| {row['edges']} / {row['paper_edges']} "
-            f"| {row['params']:,} / {row['paper_params']:,} |"
-        )
-    w("")
 
-    # ---- Table 2
-    w(f"## Table 2 — classification error rate ({cfg.m:,} training instances)")
-    w("")
-    w("| Dataset | " + " | ".join(f"{a} (ours/paper)" for a in ALGOS) + " |")
-    w("|---|" + "---|" * len(ALGOS))
-    for name in NETWORKS:
-        if name not in r["tables23"]:
-            continue
-        cells = [
-            f"{r['tables23'][name][a]['cls_err']:.3f} / {PAPER_TABLE2[name][a]:.3f}"
-            for a in ALGOS
-        ]
-        w(f"| {name.upper()} | " + " | ".join(cells) + " |")
-    w("")
-    w("The reproduction target is the paper's qualitative finding: the")
-    w("approximate algorithms classify essentially as well as EXACTMLE")
-    w("(differences within test noise).")
-    w("")
+def render_table2(r: dict, cfg: Config) -> str:
+    t = r["tables23"]
+    return _md([
+        f"## Table 2 — classification error rate ({cfg.m:,} training instances)",
+        "",
+        *_ours_paper(t, lambda n, a: f"{t[n][a]['cls_err']:.3f} / {PAPER_TABLE2[n][a]:.3f}"),
+        "",
+        "The reproduction target is the paper's qualitative finding: the",
+        "approximate algorithms classify essentially as well as EXACTMLE",
+        "(differences within test noise).",
+        "",
+    ])
 
-    # ---- Table 3
-    w(f"## Table 3 — messages to learn the classifier ({cfg.m:,} instances)")
-    w("")
-    w("| Dataset | " + " | ".join(f"{a} (ours/paper)" for a in ALGOS) + " |")
-    w("|---|" + "---|" * len(ALGOS))
-    for name in NETWORKS:
-        if name not in r["tables23"]:
-            continue
-        cells = [
-            f"{r['tables23'][name][a]['messages']:,} / {PAPER_TABLE3[name][a]:,}"
-            for a in ALGOS
-        ]
-        w(f"| {name.upper()} | " + " | ".join(cells) + " |")
-    w("")
-    w("| Dataset | exact/nonuniform reduction (ours) | (paper) |")
-    w("|---|---|---|")
-    for name in NETWORKS:
-        if name not in r["tables23"]:
-            continue
-        ours = (
-            r["tables23"][name]["exact"]["messages"]
-            / r["tables23"][name]["nonuniform"]["messages"]
-        )
-        paper = PAPER_TABLE3[name]["exact"] / PAPER_TABLE3[name]["nonuniform"]
-        w(f"| {name.upper()} | {ours:.1f}x | {paper:.1f}x |")
-    w("")
-    L += message_ordering_lines(r["tables23"])
-    w("")
-    w("Absolute reductions at m=50K are smaller")
-    w("because our guarantee-preserving counter constant thins later than")
-    w("the paper's implementation (DESIGN.md #5) — on LINK/MUNIN the mass")
-    w("is spread over 10-100x more counters, so at 50K events most")
-    w("counters are still below their thinning threshold. The reduction")
-    w("grows with m (Figure 9 below reaches ~40x at 1M on ALARM and keeps")
-    w("doubling per doubling of m).")
-    w("")
 
-    # ---- supplementary figures
-    if "fig9" in r:
-        w("## Figure 9 (supplementary) — messages vs training points")
-        w("")
-        w(f"Network: {r['fig9_network']}. EXACTMLE grows linearly; the")
-        w("approximate algorithms logarithmically — the paper's 100-1000x")
-        w("claim is this widening gap.")
-        w("")
-        w("| m | " + " | ".join(ALGOS) + " | exact/nonuniform |")
-        w("|---|" + "---|" * (len(ALGOS) + 1))
-        hist = r["fig9"]
-        for i in range(1, len(hist["exact"])):
-            m = hist["exact"][i][0]
-            vals = [hist[a][i][1] for a in ALGOS]
-            w(
-                f"| {m:,} | " + " | ".join(f"{v:,}" for v in vals)
-                + f" | {vals[0]/max(vals[-1],1):.1f}x |"
-            )
-        w("")
-    if "fig5" in r:
-        w("## Figures 3-8 (supplementary) — testing error vs training points")
-        w("")
-        w(f"Network: {r['fig5_network']}. Error vs ground truth falls with m")
-        w("(statistical error); error vs EXACTMLE stays ~flat (approximation")
-        w("error, bounded by eps) — the paper's Figures 5 and 8.")
-        w("")
-        w("| m | exact err(GT) | baseline err(GT) | uniform err(GT) | nonuniform err(GT) | baseline err(MLE) | uniform err(MLE) | nonuniform err(MLE) |")
-        w("|---|---|---|---|---|---|---|---|")
-        for row in r["fig5"]:
-            w(
-                f"| {row['m']:,} | {row['exact_err_gt']:.4f} "
-                f"| {row['baseline_err_gt']:.4f} | {row['uniform_err_gt']:.4f} "
-                f"| {row['nonuniform_err_gt']:.4f} | {row['baseline_err_mle']:.4f} "
-                f"| {row['uniform_err_mle']:.4f} | {row['nonuniform_err_mle']:.4f} |"
-            )
-        w("")
-    if "fig10" in r:
-        w("## Figure 10 (supplementary) — error vs eps")
-        w("")
-        w(f"Network: {r['fig10_network']}, m={cfg.m:,}. Error vs EXACTMLE")
-        w("grows with eps; error vs ground truth is insensitive when the")
-        w("statistical error dominates — exactly the paper's reading.")
-        w("")
-        w("| eps | exact err(GT) | nonuniform err(GT) | nonuniform err(MLE) |")
-        w("|---|---|---|---|")
-        for row in r["fig10"]:
-            w(
-                f"| {row['eps']} | {row['exact_err_gt']:.4f} "
-                f"| {row['nonuniform_err_gt']:.4f} | {row['nonuniform_err_mle']:.4f} |"
-            )
-        w("")
-    if "fig11a" in r:
-        w("## Figure 11(a) (supplementary) — messages vs number of sites k")
-        w("")
-        w("| k | " + " | ".join(ALGOS) + " |")
-        w("|---|" + "---|" * len(ALGOS))
-        for row in r["fig11a"]:
-            w("| " + str(row["k"]) + " | " + " | ".join(f"{row[a]:,}" for a in ALGOS) + " |")
-        w("")
-    if "fig11b" in r:
-        w("## Figure 11(b) (supplementary) — NEW-ALARM: UNIFORM vs NONUNIFORM")
-        w("")
-        b = r["fig11b"]
-        w("| m | uniform | nonuniform | NONUNIFORM saving |")
-        w("|---|---|---|---|")
-        for row in b["rows"]:
-            w(
-                f"| {row['m']:,} | {row['uniform']:,} | {row['nonuniform']:,} "
-                f"| {row['saving']:.1%} |"
-            )
-        w("")
-        w(
-            f"At the calibrated `proto_c` the saving reaches {b['saving']:.1%} "
-            f"by m={b['m']:,} and keeps growing (paper: ~35%); the paper's"
-        )
-        w("value is the asymptotic regime where every counter of the")
-        w("high-cardinality variables is past its thinning threshold, which")
-        w("our guarantee-preserving constant reaches only at larger m")
-        w("(DESIGN.md substitution #5).")
-        if "paper_regime" in b:
-            pr = b["paper_regime"]
-            w("")
-            w(
-                f"At the paper's operating point (`proto_c={pr['proto_c']}`, "
-                f"guarantee no longer provable): uniform={pr['uniform']:,}, "
-                f"nonuniform={pr['nonuniform']:,} — saving {pr['saving']:.1%}, "
-                "approaching the paper's ~35% (the asymptotic limit of the "
-                "allocation is ~41% for this network)."
-            )
-        w("")
-    return "\n".join(L) + "\n"
+def render_table3(r: dict, cfg: Config) -> str:
+    t = r["tables23"]
+    reduction = [
+        [n.upper(), f"{t[n]['exact']['messages'] / t[n]['nonuniform']['messages']:.1f}x",
+         f"{PAPER_TABLE3[n]['exact'] / PAPER_TABLE3[n]['nonuniform']:.1f}x"]
+        for n in NETWORKS if n in t
+    ]
+    return _md([
+        f"## Table 3 — messages to learn the classifier ({cfg.m:,} instances)",
+        "",
+        *_ours_paper(t, lambda n, a: f"{t[n][a]['messages']:,} / {PAPER_TABLE3[n][a]:,}"),
+        "",
+        *_table(["Dataset", "exact/nonuniform reduction (ours)", "(paper)"], reduction),
+        "",
+        *message_ordering_lines(t),
+        "",
+        "Absolute reductions at m=50K are smaller",
+        "because our guarantee-preserving counter constant thins later than",
+        "the paper's implementation (DESIGN.md #5) — on LINK/MUNIN the mass",
+        "is spread over 10-100x more counters, so at 50K events most",
+        "counters are still below their thinning threshold.",
+        *fig9_lines(r),
+        "",
+    ])
+
+
+def render_fig9(r: dict, cfg: Config) -> str:
+    hist = r["fig9"]
+    rows = (
+        [f"{m:,}", *(f"{hist[a][i][1]:,}" for a in ALGOS), f"{red:.1f}x"]
+        for i, (m, red) in enumerate(_reductions(hist), start=1)
+    )
+    return _md([
+        "## Figure 9 (supplementary) — messages vs training points",
+        "",
+        f"Network: {r['fig9_network']}. EXACTMLE grows linearly; the",
+        "approximate algorithms logarithmically — the paper's 100-1000x",
+        "claim is this widening gap.",
+        "",
+        *_table(["m", *ALGOS, "exact/nonuniform"], rows),
+        "",
+    ])
+
+
+def render_fig5(r: dict, cfg: Config) -> str:
+    return _md([
+        "## Figures 3-8 (supplementary) — testing error vs training points",
+        "",
+        f"Network: {r['fig5_network']}. Error vs ground truth falls with m",
+        "(statistical error) — the paper's Figures 5 and 8.",
+        *fig5_lines(r["fig5"]),
+        "",
+        *_err_table("m", ((f"{row['m']:,}", row) for row in r["fig5"])),
+        "",
+    ])
+
+
+def render_fig10(r: dict, cfg: Config) -> str:
+    return _md([
+        "## Figure 10 (supplementary) — error vs eps",
+        "",
+        f"Network: {r['fig10_network']}, m={cfg.m:,}. Error vs EXACTMLE",
+        "grows with eps; error vs ground truth is insensitive when the",
+        "statistical error dominates — exactly the paper's reading.",
+        "",
+        *_err_table("eps", ((row["eps"], row) for row in r["fig10"])),
+        "",
+    ])
+
+
+def render_fig11a(r: dict, cfg: Config) -> str:
+    rows = ([row["k"], *(f"{row[a]:,}" for a in ALGOS)] for row in r["fig11a"])
+    return _md([
+        "## Figure 11(a) (supplementary) — messages vs number of sites k",
+        "",
+        *_table(["k", *ALGOS], rows),
+        "",
+    ])
+
+
+def render_fig11b(r: dict, cfg: Config) -> str:
+    b, pr = r["fig11b"], r["fig11b"]["paper_regime"]
+    rows = (
+        [f"{x['m']:,}", f"{x['uniform']:,}", f"{x['nonuniform']:,}", f"{x['saving']:.1%}"]
+        for x in b["rows"]
+    )
+    return _md([
+        "## Figure 11(b) (supplementary) — NEW-ALARM: UNIFORM vs NONUNIFORM",
+        "",
+        *_table(["m", "uniform", "nonuniform", "NONUNIFORM saving"], rows),
+        "",
+        f"At the calibrated `proto_c` the saving reaches {b['saving']:.1%} "
+        f"by m={b['m']:,} and keeps growing (paper: ~35%); the paper's",
+        "value is the asymptotic regime where every counter of the",
+        "high-cardinality variables is past its thinning threshold, which",
+        "our guarantee-preserving constant reaches only at larger m",
+        "(DESIGN.md substitution #5).",
+        "",
+        f"At the paper's operating point (`proto_c={pr['proto_c']}`, "
+        f"guarantee no longer provable): uniform={pr['uniform']:,}, "
+        f"nonuniform={pr['nonuniform']:,} — saving {pr['saving']:.1%}, "
+        "approaching the paper's ~35% (the asymptotic limit of the "
+        "allocation is ~41% for this network).",
+        "",
+    ])
+
+
+#: Report sections in order, each with the results key it renders.
+SECTIONS = [
+    ("table1", render_table1), ("tables23", render_table2), ("tables23", render_table3),
+    ("fig9", render_fig9), ("fig5", render_fig5), ("fig10", render_fig10),
+    ("fig11a", render_fig11a), ("fig11b", render_fig11b),
+]
+
+
+def render_sections(r: dict, cfg: Config) -> str:
+    """Every report section whose results key is in ``r``, in order."""
+    return "".join(render(r, cfg) for key, render in SECTIONS if key in r)
+
+
+def render_experiments_md(r: dict, cfg: Config) -> str:
+    """Render the full paper-vs-measured report (EXPERIMENTS.md)."""
+    return render_header(cfg) + render_sections(r, cfg)

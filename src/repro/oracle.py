@@ -1,19 +1,17 @@
 """DuckDB correctness oracle.
 
 ``assert_equivalent(result, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``result`` (the
-result under test). This catches wrong results from a rewritten plan
-or a custom operator — "it ran" is not "it is correct".
+over the pandas frames ``tables`` and asserts the sorted rows match the
+pandas frame ``result`` (the result under test). This catches wrong
+results from a rewritten plan or a custom operator — "it ran" is not
+"it is correct".
 
-``result`` and ``tables`` may be Spark or pandas DataFrames; Spark ones
-are collected via ``.toPandas()``. Alias every output column identically
-on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
-``count_star()``) and project to scalar columns — array/map/struct
-columns are not orderable so cannot be compared here.
+Alias every output column identically on both sides and project to
+scalar columns — array/map/struct columns are not orderable so cannot
+be compared here.
 """
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -25,19 +23,18 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(result: DataFrame | pd.DataFrame, sql: str, **tables) -> None:
+def assert_equivalent(result: pd.DataFrame, sql: str, **tables: pd.DataFrame) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+            con.register(name, t)
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = result.toPandas() if isinstance(result, DataFrame) else result
-    assert set(expected.columns) == set(got.columns), (
-        f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
+    assert set(expected.columns) == set(result.columns), (
+        f"column mismatch: {sorted(result.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"
     )
     pd.testing.assert_frame_equal(
-        _canon(got), _canon(expected), check_dtype=False
+        _canon(result), _canon(expected), check_dtype=False
     )

@@ -1,5 +1,6 @@
 """Tests for the experiment harness (config, runners, report renderer)."""
 import json
+import os
 
 import numpy as np
 import pytest
@@ -132,3 +133,58 @@ def test_message_ordering_is_computed_against_paper():
     assert ex.message_order({"exact": 5, "baseline": 3, "uniform": 3, "nonuniform": 1}) == (
         "exact > baseline = uniform > nonuniform"
     )
+
+
+def test_committed_report_is_the_render_of_committed_results(monkeypatch):
+    """EXPERIMENTS.md is exactly what the renderer gives for the committed
+    results at the default configuration."""
+    for v in ["REPRO_M", "REPRO_K", "REPRO_EPS", "REPRO_TESTS", "REPRO_SEED", "REPRO_PROTO_C"]:
+        monkeypatch.delenv(v, raising=False)
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "results", "results.json")) as f:
+        results = json.load(f)
+    with open(os.path.join(root, "EXPERIMENTS.md")) as f:
+        committed = f.read()
+    assert ex.render_experiments_md(results, ex.Config()) == committed
+
+
+class TestComputedSentences:
+    @staticmethod
+    def fig9(exact, nonuniform, ms):
+        return {"fig9_network": "alarm", "fig9": {
+            "exact": [[0, 0], *zip(ms, exact)], "nonuniform": [[0, 0], *zip(ms, nonuniform)],
+        }}
+
+    def test_fig9_clause(self):
+        assert ex.fig9_lines({}) == []
+        r = self.fig9([2000, 6000, 14000], [2000, 3000, 3500], [1000, 3000, 7000])
+        assert ex.fig9_lines(r) == [
+            "The reduction grows with m (Figure 9 below, ALARM): it reaches 4.0x at "
+            "m=7,000, and over the last doubling of m (3,000 → 7,000 events) it went "
+            "2.0x → 4.0x, 2.0x per doubling."
+        ]
+        # The last step (7,000 -> 9,000) is no doubling; the reduction falls.
+        r = self.fig9([2000, 6000, 14000, 18000], [2000, 3000, 3500, 6000],
+                      [1000, 3000, 7000, 9000])
+        (line,) = ex.fig9_lines(r)
+        assert line.startswith("The reduction does not grow steadily with m")
+        assert "reaches 3.0x at m=9,000" in line and "(3,000 → 7,000 events)" in line
+
+    @staticmethod
+    def fig5(ms, errs):
+        return [dict(m=m, **{f"{a}_err_mle": e for a, e in zip(ex.APPROX, es)})
+                for m, es in zip(ms, errs)]
+
+    def test_fig5_sentence(self):
+        rows = self.fig5([100, 200, 400], [[0, 0, 0], [0.001, 0.003, 0.002], [0.02, 0.01, 0.04]])
+        assert ex.fig5_lines(rows) == [
+            "Error vs EXACTMLE (approximation error) is 0 up to m=100 and rises from "
+            "0.0010–0.0030 at m=200 to 0.0100–0.0400 at m=400 (the range over baseline, "
+            "uniform, nonuniform)."
+        ]
+        falling = self.fig5([100, 200], [[0.03, 0.02, 0.01], [0.001, 0.003, 0.002]])
+        assert ex.fig5_lines(falling)[0].startswith(
+            "Error vs EXACTMLE (approximation error) does not rise from 0.0100–0.0300 at m=100"
+        )
+        zero = self.fig5([100, 200], [[0, 0, 0], [0, 0, 0]])
+        assert ex.fig5_lines(zero) == ["Error vs EXACTMLE (approximation error) is 0 at every m."]
