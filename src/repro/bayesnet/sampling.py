@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bayesnet.cpd import GroundTruth
+from repro.bayesnet.structure import BayesNet
 
 CHUNK = 8192  # stream chunk size the RNG seeding is aligned to
 
@@ -46,13 +47,19 @@ def _slice_uniforms(rng: np.random.Generator, a: int, size: int) -> np.ndarray:
     return u
 
 
+def value_dtype(net: BayesNet) -> np.dtype:
+    """The smallest unsigned integer type that holds every value of the
+    network: uint8 up to 256 values per variable."""
+    return np.min_scalar_type(int(net.cards.max()) - 1)
+
+
 def _sample_chunk(gt: GroundTruth, start: int, size: int, seed: int) -> np.ndarray:
     """Events ``[start, start + size)``, which lie inside one chunk, as an
-    ``(size, n)`` column-major int32 matrix."""
+    ``(size, n)`` column-major matrix of ``value_dtype(gt.net)``."""
     net = gt.net
     chunk_id, a = divmod(start, CHUNK)
     rng = np.random.Generator(np.random.PCG64([seed, 0xE7E47, chunk_id]))
-    X = np.empty((size, net.n), dtype=np.int32, order="F")
+    X = np.empty((size, net.n), dtype=value_dtype(gt.net), order="F")
     for i in net.topo:
         i = int(i)
         # Each node owns a full chunk of uniforms, so the stream position
@@ -61,21 +68,22 @@ def _sample_chunk(gt: GroundTruth, start: int, size: int, seed: int) -> np.ndarr
         # Inverse-CDF draw: the value is how many of the first J_i - 1
         # cumulative cells of the row's CPD lie below u.
         cells = np.take(gt.cum_cpds[i], net.parent_config_index(X, i), axis=1)
-        np.sum(cells < u, axis=0, dtype=np.int32, out=X[:, i])
+        np.sum(cells < u, axis=0, dtype=X.dtype, out=X[:, i])
     return X
 
 
 def sample_events(gt: GroundTruth, lo: int, hi: int, *, seed: int) -> np.ndarray:
-    """Events ``[lo, hi)`` of the stream — ``(hi-lo, n)`` int32 matrix,
-    column-major so each variable's column is contiguous."""
+    """Events ``[lo, hi)`` of the stream — ``(hi-lo, n)`` matrix of
+    ``value_dtype(gt.net)``, column-major so each variable's column is
+    contiguous."""
     if hi <= lo:
-        return np.zeros((0, gt.net.n), dtype=np.int32)
+        return np.zeros((0, gt.net.n), dtype=value_dtype(gt.net))
     edges = chunk_edges(lo, hi)
     if len(edges) == 2:
         return _sample_chunk(gt, lo, hi - lo, seed)
     # Each piece is copied in as it is drawn, so at most one piece lives
     # beside the result (concatenating would hold every piece at once).
-    X = np.empty((hi - lo, gt.net.n), dtype=np.int32, order="F")
+    X = np.empty((hi - lo, gt.net.n), dtype=value_dtype(gt.net), order="F")
     for a, b in zip(edges[:-1], edges[1:]):
         X[a - lo : b - lo] = _sample_chunk(gt, a, b - a, seed)
     return X

@@ -17,9 +17,11 @@ the ``n`` positions, so
 
 Sampling ``(G, then Binomial)`` therefore reproduces the *exact* joint
 distribution of (message count, last reported value) without per-item
-draws. Rounds (p refresh + exact re-sync, see ``counters``) advance at
-batch boundaries; with the doubling batch schedule this matches the
-round protocol's one-doubling lag.
+draws. At ``p == 1`` the outcome is certain (``n`` messages, the last at
+position ``n``), so, as in ``SeqDistCounter.increment``, such a row draws
+nothing from the protocol generator. Rounds (p refresh + exact re-sync,
+see ``counters``) advance at batch boundaries; with the doubling batch
+schedule this matches the round protocol's one-doubling lag.
 """
 from __future__ import annotations
 
@@ -69,9 +71,11 @@ class BatchCounterEngine:
     The state is :class:`~repro.distmon.counters.SeqDistCounter`'s, one
     row per counter: ``p``, ``f``, ``r``, ``rep``, ``round_est`` and
     ``messages``. Estimates and the message total are derived from it.
-    The per-site counts ``f`` and ``r`` are int32, so one (counter, site)
-    pair counts at most ``SITE_COUNT_MAX`` events; ``update`` raises
-    before it would pass that.
+    Only rows with ``p < 1`` draw from the protocol generator ``rng``: a
+    uniform each, then a binomial each where there is a message, in row
+    order. The per-site counts ``f`` and ``r`` are int32, so one
+    (counter, site) pair counts at most ``SITE_COUNT_MAX`` events;
+    ``update`` raises before it would pass that.
 
     Parameters
     ----------
@@ -141,34 +145,34 @@ class BatchCounterEngine:
         if fend.max() > SITE_COUNT_MAX:
             raise ValueError("a (counter, site) count would exceed SITE_COUNT_MAX")
         f[key] = fend
-        del fend  # rows x 8 bytes, freed before the draws
 
-        # Trailing-failure geometric G, capped at n ("no message"), which
-        # also maps u = 0 (G = inf) there. It is only drawn where p < 1: at
-        # p == 1 every item reports, so G = 0 and the last message is at
-        # L = n. ``u`` is drawn for every row all the same, which keeps the
-        # generator's stream (and so every fixed-seed count) as it was.
-        u = self.rng.random(len(cid))
-        L = n.copy()  # position of the last message (1-based); 0: none
+        # At p == 1 every increment reports and nothing is drawn, as in
+        # ``SeqDistCounter.increment``: n messages, the last one at the new
+        # local count (a counter at p == 1 has ``r == f``, so a row with
+        # n == 0 rewrites its own ``r``). Every row is first taken so; the
+        # p < 1 rows then draw, in row order, a uniform for the
+        # trailing-failure geometric G, capped at n ("no message", which
+        # also maps u = 0, G = inf, there), and a binomial for the
+        # messages before the last where there is one.
+        np.add.at(self.messages, cid, n)
+        r_new = fend
+        sent = n > 0
         thin = np.flatnonzero(p_rows < 1.0)
         if len(thin):
-            nt = n[thin]
+            nt, pt, kt = n[thin], p_rows[thin], key[thin]
+            u = self.rng.random(len(thin))
             with np.errstate(divide="ignore"):
-                G = np.minimum(np.floor(np.log(u[thin]) / np.log1p(-p_rows[thin])), nt)
-            L[thin] = nt - G.astype(np.int64)
-
-        hm = np.flatnonzero(L)  # rows with a message
-        if len(hm):
-            if len(hm) == len(L):
-                hm = slice(None)  # every row has one: index by views, not copies
-            L_h = L[hm]
-            M_h = self.rng.binomial(L_h - 1, p_rows[hm])
-            M_h += 1
-            np.add.at(self.messages, cid[hm], M_h)
-            k_h = key[hm]
-            L_h += fstart[hm]
-            r[k_h] = L_h
-            rep[k_h] = True
+                G = np.minimum(np.floor(np.log(u) / np.log1p(-pt)), nt)
+            L = nt - G.astype(np.int64)  # position of the last message; 0: none
+            M = L.copy()
+            h = np.flatnonzero(L)
+            if len(h):
+                M[h] = self.rng.binomial(L[h] - 1, pt[h]) + 1
+            np.add.at(self.messages, cid[thin], M - nt)
+            r_new[thin] = np.where(L > 0, fstart[thin] + L, r[kt])
+            sent[thin] = L > 0
+        r[key] = r_new
+        rep[key] |= sent
 
         # Coordinator: advance rounds (sync + lower p) where the estimate
         # doubled. Scanning every counter finds the same ascending ids as

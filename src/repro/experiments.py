@@ -24,6 +24,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.bayesnet import networks
 from repro.core import classify
 from repro.core.learner import ALGORITHMS, TrainResult, train_many
@@ -121,7 +123,9 @@ def _train(spark, gt, cfg: Config, algos=ALGOS, **over) -> dict[str, TrainResult
 
 def evaluate_models(gt, results: dict[str, TrainResult], cfg: Config) -> dict[str, dict]:
     """Per-algorithm metrics: messages (Table 3), classification error
-    (Table 2), and the figure-style testing errors."""
+    (Table 2), the figure-style testing errors, and the share of test
+    queries whose log-probability is more than ``cfg.eps`` from
+    EXACTMLE's (Definition 2 per query)."""
     Xt, targets = classify.make_tests(gt, cfg.n_tests, seed=cfg.seed + 1)
     lp_true = gt.log_prob(Xt)
     lp_mle = results["exact"].model.log_prob(Xt) if "exact" in results else None
@@ -133,6 +137,7 @@ def evaluate_models(gt, results: dict[str, TrainResult], cfg: Config) -> dict[st
             cls_err=classify.error_rate(r.model, gt.net, Xt, targets),
             err_gt=mean_abs_ratio_error(lp, lp_true),
             err_mle=None if lp_mle is None else mean_abs_ratio_error(lp, lp_mle),
+            past_eps=None if lp_mle is None else float(np.mean(np.abs(lp - lp_mle) > cfg.eps)),
         )
     return out
 
@@ -326,6 +331,50 @@ def fig5_lines(rows: list[dict]) -> list[str]:
     ]
 
 
+def guarantee_lines(tables23: dict, eps: float) -> list[str]:
+    """Table 2's sentence on Definition 2 per query: the largest share of
+    test queries with ``|log P~ - log P^| > eps`` over the approximate
+    algorithms and networks, and the range of their mean error vs
+    EXACTMLE against ``e^eps - 1``."""
+    nets = [n for n in NETWORKS if n in tables23]
+    cells = [(tables23[n][a], a, n) for n in nets for a in APPROX]
+    worst, algo, net = max(cells, key=lambda c: c[0]["past_eps"])
+    errs = [c[0]["err_mle"] for c in cells]
+    bound = np.expm1(eps)
+    per_query = (
+        "holds for every test query"
+        if worst["past_eps"] == 0
+        else f"fails for up to {worst['past_eps']:.1%} of the test queries "
+        f"({algo} on {net.upper()})"
+    )
+    return [
+        f"Definition 2 per query (|log P̃ − log P̂| ≤ eps={eps} against EXACTMLE) "
+        f"{per_query}. The mean error vs EXACTMLE is {min(errs):.4f}–{max(errs):.4f} "
+        f"over {', '.join(APPROX)} on {', '.join(n.upper() for n in nets)}, "
+        f"{'below' if max(errs) < bound else 'not below'} e^eps − 1 = {bound:.4f}."
+    ]
+
+
+def fig10_lines(rows: list[dict]) -> list[str]:
+    """Figure 10's sentences on how each error moves with eps, computed
+    from the rows (the range is over the approximate algorithms)."""
+
+    def move(what: str, suffix: str) -> str:
+        lo, hi = [[row[f"{a}{suffix}"] for a in APPROX] for row in (rows[0], rows[-1])]
+        return (
+            f"{what} {'rises' if max(hi) > max(lo) else 'does not rise'} with eps, "
+            f"from {min(lo):.4f}–{max(lo):.4f} at eps={rows[0]['eps']} to "
+            f"{min(hi):.4f}–{max(hi):.4f} at eps={rows[-1]['eps']}"
+        )
+
+    exact = sorted({round(row["exact_err_gt"], 4) for row in rows})
+    return [
+        move("Error vs EXACTMLE", "_err_mle") + f" (the range over {', '.join(APPROX)}).",
+        move("Error vs ground truth", "_err_gt")
+        + f", against EXACTMLE's {'–'.join(f'{e:.4f}' for e in exact)}.",
+    ]
+
+
 def _err_table(first: str, rows: list[tuple]) -> list[str]:
     """Figures 3-8 and 10: every algorithm's error vs the ground truth,
     then every approximate one's vs EXACTMLE, one row per sweep point."""
@@ -351,8 +400,10 @@ def render_header(cfg: Config) -> str:
         "Substitutions that affect absolute numbers (DESIGN.md §5): the",
         "networks are synthetic stand-ins matched to Table 1's shape; the",
         "distributed-counter reporting constant `proto_c` is calibrated so",
-        "the (eps, delta) guarantee holds empirically while the counters",
-        "operate in the thinning regime the paper's implementation shows.",
+        "the counters operate in the thinning regime the paper's",
+        "implementation shows. At it the (eps, delta) guarantee of",
+        "Definition 2 is met in the mean, not for every query: Table 2's",
+        "section gives the measured share of test queries past eps.",
         "Compare *shapes* (orderings, relative gaps, growth in m), not raw",
         "message counts.",
         "",
@@ -387,6 +438,8 @@ def render_table2(r: dict, cfg: Config) -> str:
         "The reproduction target is the paper's qualitative finding: the",
         "approximate algorithms classify essentially as well as EXACTMLE",
         "(differences within test noise).",
+        "",
+        *guarantee_lines(t, cfg.eps),
         "",
     ])
 
@@ -452,9 +505,8 @@ def render_fig10(r: dict, cfg: Config) -> str:
     return _md([
         "## Figure 10 (supplementary) — error vs eps",
         "",
-        f"Network: {r['fig10_network']}, m={cfg.m:,}. Error vs EXACTMLE",
-        "grows with eps; error vs ground truth is insensitive when the",
-        "statistical error dominates — exactly the paper's reading.",
+        f"Network: {r['fig10_network']}, m={cfg.m:,}.",
+        *fig10_lines(r["fig10"]),
         "",
         *_err_table("eps", ((row["eps"], row) for row in r["fig10"])),
         "",

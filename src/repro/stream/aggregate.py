@@ -53,15 +53,18 @@ def _agg_kernel(
     block needs no pass over the events: ``F_i(x_par) = sum_{x_i}
     F_i(x_i, x_par)`` at every site, and family ids run ``x_i`` fastest
     within each ``x_par``, so it is the family block summed over ``x_i``
-    (exact integer sums).
+    (exact integer sums). The table is int32, as a cell counts at most
+    the ``m`` events; the counts are returned as int64.
     """
     m = X.shape[0]
+    if m > np.iinfo(np.int32).max:
+        raise ValueError(f"{m} events do not fit the int32 count table")
     if m and not (
         0 <= sites.min() and sites.max() < k
         and 0 <= X.min() and np.all(X.max(axis=0) < net.cards)
     ):
         raise ValueError("an event value or site lies outside its domain")
-    table = np.empty(net.n_counters * k, dtype=np.int64)
+    table = np.empty(net.n_counters * k, dtype=np.int32)
     s64 = sites.astype(np.int64)
     for i in range(net.n):
         cell = net.family_cells(i, X[:, i], net.parent_config_index(X, i))
@@ -73,12 +76,12 @@ def _agg_kernel(
         fam[:] = np.bincount(cell, minlength=len(fam))
         np.sum(fam.reshape(K, J, k), axis=1, out=table[plo : plo + K * k].reshape(K, k))
     keys = np.flatnonzero(table)
-    return keys, table[keys]
+    return keys, table[keys].astype(np.int64)
 
 
 def _split(keys: np.ndarray, cnts: np.ndarray, k: int) -> Counts:
     """Sorted fused keys and their counts -> ``(counter_id, site, n)``."""
-    return keys // k, keys % k, cnts.astype(np.int64)
+    return keys // k, keys % k, cnts.astype(np.int64, copy=False)
 
 
 def _merge(parts: list[tuple[np.ndarray, np.ndarray]], size: int, k: int) -> Counts:
@@ -110,7 +113,9 @@ def aggregate_local(gt: GroundTruth, lo: int, hi: int, *, k: int, seed: int) -> 
     """Driver-side reference aggregation of stream events ``[lo, hi)``."""
     X = sample_events(gt, lo, hi, seed=seed)
     sites = sample_sites(lo, hi, k=k, seed=seed)
-    return _split(*_agg_kernel(gt.net, X, sites, k), k)
+    keys, cnts = _agg_kernel(gt.net, X, sites, k)
+    del X, sites  # the events are freed before the split allocates
+    return _split(keys, cnts, k)
 
 
 class StreamJob:
@@ -202,7 +207,7 @@ def aggregate_events_df(
             X = pdf[vcols].to_numpy(dtype=np.int32)
             sites = pdf["site"].to_numpy(dtype=np.int64)
             keys, cnts = _agg_kernel(net, X, sites, k)
-            yield pd.DataFrame({"key": keys, "cnt": cnts.astype(np.int64)})
+            yield pd.DataFrame({"key": keys, "cnt": cnts})
 
     pdf = events_df.mapInPandas(agg, schema="key long, cnt long").toPandas()
     part = (pdf["key"].to_numpy(np.int64), pdf["cnt"].to_numpy(np.int64))

@@ -244,9 +244,12 @@ class TestStatisticalGuarantees:
 
 
 class ReferenceEngine(BatchCounterEngine):
-    """The engine's formulas before its ``p == 1`` shortcuts: a geometric
-    for every row, 2-D indexing, and a stale-site scan and an estimate
-    term for every counter. Same state, same generator calls."""
+    """The engine's formulas before its shortcuts: 2-D indexing, every
+    row's outcome in full arrays, and a stale-site scan and an estimate
+    term for every counter. As in ``SeqDistCounter``, a ``p == 1`` row
+    draws nothing and reports all ``n`` increments; ``p < 1`` rows draw a
+    uniform each, then a binomial each where there is a message, in row
+    order. Same state, same generator calls."""
 
     def update(self, cid, sid, n):
         cid = np.asarray(cid, dtype=np.int64)
@@ -258,25 +261,21 @@ class ReferenceEngine(BatchCounterEngine):
         p_rows = self.p[cid]
         fstart = self.f[cid, sid]
         self.f[cid, sid] = fstart + n
-        u = self.rng.random(len(cid))
-        sat = p_rows >= 1.0
-        with np.errstate(divide="ignore"):
-            G = np.where(
-                sat,
-                0,
-                np.minimum(
-                    np.floor(np.log(u) / np.log1p(-np.minimum(p_rows, 1.0 - 1e-16))), n
-                ),
-            ).astype(np.int64)
-        has_msg = G < n
+        thin = np.nonzero(p_rows < 1.0)[0]
+        G = np.zeros(len(cid), dtype=np.int64)
+        if len(thin):
+            u = self.rng.random(len(thin))
+            with np.errstate(divide="ignore"):
+                G[thin] = np.minimum(np.floor(np.log(u) / np.log1p(-p_rows[thin])), n[thin])
         L = n - G
-        M = np.zeros(len(cid), dtype=np.int64)
-        hm = np.nonzero(has_msg)[0]
+        M = L.copy()
+        hm = thin[L[thin] > 0]
         if len(hm):
             M[hm] = 1 + self.rng.binomial(L[hm] - 1, p_rows[hm])
-            c_h, s_h = cid[hm], sid[hm]
-            self.r[c_h, s_h] = fstart[hm] + L[hm]
-            self.rep[c_h, s_h] = True
+        has = L > 0
+        c_h, s_h = cid[has], sid[has]
+        self.r[c_h, s_h] = fstart[has] + L[has]
+        self.rep[c_h, s_h] = True
         np.add.at(self.messages, cid, M)
         adv = np.flatnonzero(self._estimate() >= 2.0 * self.round_est)
         if len(adv):
@@ -334,6 +333,78 @@ def test_state_equals_reference_formulas(seed):
             np.testing.assert_array_equal(getattr(new, name), getattr(ref, name), err_msg=name)
         assert new.rng.bit_generator.state == ref.rng.bit_generator.state
     assert mixed >= 20
+
+
+def test_p1_rows_draw_nothing():
+    """An update whose rows are all at ``p == 1`` reports every increment
+    and leaves the generator where it was."""
+    e = single(nc=3, k=4, eps=1e-9)
+    e.update(np.array([0, 0, 2]), np.array([1, 3, 0]), np.array([5, 1, 40]))
+    state = e.rng.bit_generator.state
+    before = e.messages.copy()
+    n = np.array([3, 7, 1, 2])
+    e.update(np.array([0, 1, 1, 2]), np.array([1, 0, 2, 0]), n)
+    assert np.all(e.p == 1.0)
+    assert e.rng.bit_generator.state == state
+    np.testing.assert_array_equal(e.messages - before, [3, 8, 2])
+    np.testing.assert_array_equal(e.r, e.f)
+    assert e.f[0, 1] == 8 and e.f[2, 0] == 42
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
+    grid = np.union1d(a, b)
+    cdf = [np.searchsorted(np.sort(x), grid, side="right") / len(x) for x in (a, b)]
+    return float(np.max(np.abs(cdf[0] - cdf[1])))
+
+
+class TestAgainstSequentialCounter:
+    """The batched engine and ``SeqDistCounter`` have the same distribution
+    of per-counter messages and estimates. Each counter starts at
+    ``p == 1`` fed in batches of many increments that end where the
+    sequential counter's rounds advance (its estimate is exact there, so
+    rounds advance at counts 2, 4, 8, ...), then thins and is fed one
+    event per update, where both make the same per-event decisions."""
+
+    EPS, K, C, REPS = 0.1, 4, 240, 1500
+    P1_END = 32  # the first round point with p < 1: sqrt(K) / EPS = 20 < 32
+
+    def sites(self):
+        return np.random.default_rng(5).integers(0, self.K, self.C)
+
+    def batched(self):
+        sites, reps = self.sites(), self.REPS
+        e = BatchCounterEngine(np.full(reps, self.EPS), self.K, seed=11)
+        cid = np.arange(reps)
+        edges = [0, 1, 2, 4, 8, 16, self.P1_END, *range(self.P1_END + 1, self.C + 1)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            assert np.all(e.p == 1.0) == (lo < self.P1_END)
+            n = np.bincount(sites[lo:hi], minlength=self.K)
+            s = np.flatnonzero(n)
+            e.update(np.repeat(cid, len(s)), np.tile(s, reps), np.tile(n[s], reps))
+        return e.messages, e.estimates()
+
+    def sequential(self):
+        msgs, ests = [], []
+        for t in range(self.REPS):
+            c = SeqDistCounter(self.EPS, self.K, rng=np.random.default_rng([t, 99]))
+            for s in self.sites():
+                c.increment(int(s))
+            msgs.append(c.messages)
+            ests.append(c.estimate())
+        return np.array(msgs), np.array(ests)
+
+    def test_same_distribution(self):
+        (bm, be), (sm, se) = self.batched(), self.sequential()
+        # The p == 1 phase is exact: 32 reports, and its round advances sync nothing.
+        assert bm.min() >= self.P1_END and sm.min() >= self.P1_END
+        assert bm.std() > 0 and be.std() > 0
+        # Asymptotic 0.1% critical value of the two-sample statistic.
+        crit = 1.95 * np.sqrt(2 / self.REPS)
+        assert ks_statistic(bm, sm) < crit
+        assert ks_statistic(be, se) < crit
+        for b, s in ((bm, sm), (be, se)):
+            assert abs(b.mean() - s.mean()) < 4 * np.hypot(b.std(), s.std()) / np.sqrt(self.REPS)
 
 
 class TestSiteCountWidth:

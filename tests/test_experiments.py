@@ -188,3 +188,47 @@ class TestComputedSentences:
         )
         zero = self.fig5([100, 200], [[0, 0, 0], [0, 0, 0]])
         assert ex.fig5_lines(zero) == ["Error vs EXACTMLE (approximation error) is 0 at every m."]
+
+    @staticmethod
+    def fig10(eps, exact, gt, mle):
+        return [dict(eps=e, exact_err_gt=x, **{f"{a}_err_gt": g for a, g in zip(ex.APPROX, gs)},
+                     **{f"{a}_err_mle": m for a, m in zip(ex.APPROX, ms)})
+                for e, x, gs, ms in zip(eps, exact, gt, mle)]
+
+    def test_fig10_sentences(self):
+        """Error vs ground truth is said to rise with eps when the
+        approximate algorithms' worst error does, whatever EXACTMLE's."""
+        rows = self.fig10([0.02, 0.4], [0.1287, 0.1287],
+                          [[0.1290, 0.1289, 0.1290], [0.1895, 0.1969, 0.1835]],
+                          [[0.0026, 0.0039, 0.0028], [0.1293, 0.1329, 0.1244]])
+        assert ex.fig10_lines(rows) == [
+            "Error vs EXACTMLE rises with eps, from 0.0026–0.0039 at eps=0.02 to "
+            "0.1244–0.1329 at eps=0.4 (the range over baseline, uniform, nonuniform).",
+            "Error vs ground truth rises with eps, from 0.1289–0.1290 at eps=0.02 to "
+            "0.1835–0.1969 at eps=0.4, against EXACTMLE's 0.1287.",
+        ]
+        flat = self.fig10([0.02, 0.4], [0.13, 0.12], [[0.13] * 3, [0.12] * 3], [[0.01] * 3] * 2)
+        lines = ex.fig10_lines(flat)
+        assert lines[0].startswith("Error vs EXACTMLE does not rise with eps")
+        assert lines[1].startswith("Error vs ground truth does not rise with eps")
+        assert lines[1].endswith("against EXACTMLE's 0.1200–0.1300.")
+
+    def test_guarantee_sentence(self):
+        def cell(past, err):
+            return dict(past_eps=past, err_mle=err)
+
+        t = {"alarm": dict(baseline=cell(0.0, 0.02), uniform=cell(0.01, 0.03),
+                           nonuniform=cell(0.041, 0.05)),
+             "hepar2": dict(baseline=cell(0.0, 0.017), uniform=cell(0.016, 0.035),
+                            nonuniform=cell(0.063, 0.047))}
+        assert ex.guarantee_lines(t, 0.1) == [
+            "Definition 2 per query (|log P̃ − log P̂| ≤ eps=0.1 against EXACTMLE) fails "
+            "for up to 6.3% of the test queries (nonuniform on HEPAR2). The mean error vs "
+            "EXACTMLE is 0.0170–0.0500 over baseline, uniform, nonuniform on ALARM, HEPAR2, "
+            "below e^eps − 1 = 0.1052."
+        ]
+        for row in t.values():
+            for c in row.values():
+                c["past_eps"], c["err_mle"] = 0.0, 0.2
+        (line,) = ex.guarantee_lines(t, 0.1)
+        assert "holds for every test query" in line and "not below e^eps − 1" in line

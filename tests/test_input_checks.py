@@ -52,13 +52,14 @@ def test_engines_reject_negative_increments(make):
 
 
 def test_zero_increments_draw_one_uniform_and_change_nothing():
-    """Rows with ``n = 0`` stay legal: each takes one uniform, sends no
-    message and leaves the counter where it was, at ``p = 1`` and below."""
+    """Rows with ``n = 0`` stay legal: each one below ``p = 1`` takes one
+    uniform, the ``p = 1`` row none, and none sends a message or moves
+    the counter."""
     e = BatchCounterEngine(np.full(2, 0.1), 3, seed=5)
     e.p[1] = 0.25
     ref = BatchCounterEngine(np.full(2, 0.1), 3, seed=5).rng
     e.update(np.array([0, 1, 1]), np.array([2, 0, 1]), np.zeros(3, dtype=np.int64))
-    ref.random(3)
+    ref.random(2)
     assert e.rng.bit_generator.state == ref.bit_generator.state
     assert e.total_messages == 0 and not e.f.any() and not e.r.any() and not e.rep.any()
 

@@ -1,10 +1,13 @@
 """Unit tests for ancestral sampling and its determinism contract."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.bayesnet import networks, sampling
 from repro.bayesnet.cpd import GroundTruth
+from repro.bayesnet.structure import BayesNet
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +111,20 @@ class TestSliceConsistency:
         gt, full = hepar2
         hi = min(lo + size, 3 * sampling.CHUNK)
         part = sampling.sample_events(gt, lo, hi, seed=17)
-        assert part.shape == (hi - lo, gt.net.n) and part.dtype == np.int32
+        assert part.shape == (hi - lo, gt.net.n) and part.dtype == sampling.value_dtype(gt.net)
         np.testing.assert_array_equal(part, full[lo:hi])
+
+
+def test_values_take_the_smallest_unsigned_type():
+    """A variable with 300 values samples as uint16, with the values the
+    int32 sampler drew (digest of the int64 values, taken from it)."""
+    net = BayesNet("j300", [[], [0], [0, 1]], [300, 4, 3])
+    gt = GroundTruth.random(net, seed=1, alpha=0.5)
+    X = sampling.sample_events(gt, 5000, 5000 + 2 * sampling.CHUNK, seed=2)
+    assert X.dtype == np.uint16 and X[:, 0].max() == 299
+    h = hashlib.sha256(np.ascontiguousarray(X, dtype=np.int64).tobytes()).hexdigest()
+    assert h == "d846e913982dac163266517b98d155f7fa268bc8e77f3b0fa56a1ed13ffd59bf"
+    assert sampling.value_dtype(networks.make("hepar2")) == np.uint8
 
 
 @pytest.mark.parametrize(
