@@ -157,14 +157,6 @@ class BayesNet:
         ``(x_i, x_par_index)``."""
         return self.fam_offset[i] + self.family_cells(i, xi, pidx), self.par_offset[i] + pidx
 
-    def family_ids(self, X: np.ndarray, i: int) -> np.ndarray:
-        """Global family-counter ids for events ``X`` at node ``i``."""
-        return self.counter_ids(i, X[:, i], self.parent_config_index(X, i))[0]
-
-    def parent_ids(self, X: np.ndarray, i: int) -> np.ndarray:
-        """Global parent-counter ids for events ``X`` at node ``i``."""
-        return self.counter_ids(i, X[:, i], self.parent_config_index(X, i))[1]
-
     def all_counter_ids(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(m, n) family and parent counter-id matrices for events ``X``."""
         m = X.shape[0]
@@ -183,9 +175,3 @@ class BayesNet:
             owner[self.fam_offset[i] : self.fam_offset[i + 1]] = i
             owner[self.par_offset[i] : self.par_offset[i + 1]] = i
         return owner
-
-    def decode_family_id(self, cid: int) -> tuple[int, int, int]:
-        """Inverse of the family-id mapping: ``(i, x_i, x_par_index)``."""
-        i = int(np.searchsorted(self.fam_offset, cid, side="right") - 1)
-        off = cid - int(self.fam_offset[i])
-        return i, off % int(self.cards[i]), off // int(self.cards[i])

@@ -35,27 +35,75 @@ def make_tests(
     return X, targets
 
 
-def predict_one(model, net: BayesNet, x: np.ndarray, t: int) -> int:
-    """Argmax_y P[X_t = y, x_rest] under ``model`` (Definition 4 with
-    b = the maximizer). ``model`` exposes ``log_factor(i, xi, pidx)``."""
-    J = int(net.cards[t])
-    cand = np.tile(x, (J, 1))
-    cand[:, t] = np.arange(J)
-    score = model.log_factor(t, cand[:, t], net.parent_config_index(cand, t))
-    for c in net.children[t]:
-        score = score + model.log_factor(
-            c, cand[:, c], net.parent_config_index(cand, c)
+def predict(
+    model, net: BayesNet, X_test: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """The predicted value of every query's hidden variable.
+
+    Each query ``q`` hides ``t = targets[q]`` and predicts
+    ``argmax_y P[X_t = y, x_rest]`` under ``model`` (Definition 4 with
+    b = the maximizer; ``model`` exposes ``log_factor(i, xi, pidx)``);
+    ties go to the first maximum, as in ``np.argmax``.
+    """
+    # Padding after each query's candidates never wins np.argmax's first
+    # maximum, so the padded grid's argmax is each query's own.
+    return _scores(model, net, X_test, targets).argmax(axis=1)
+
+
+def _scores(
+    model, net: BayesNet, X_test: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """``(queries, max J)`` grid: row ``q`` holds the log score of each
+    candidate value of ``targets[q]``, then ``-inf`` padding.
+
+    All queries are scored together: one row per (query, candidate),
+    and one ``log_factor`` call per factor variable ``v`` over every row
+    whose Markov-blanket factors include ``v``. A row's factors are its
+    slots: ``t`` is slot 0, then ``t``'s children in ``net.children[t]``
+    order, and they are added in slot order. Each element's float
+    operations are those of scoring the query alone, so the scores are
+    bit-identical to a per-query loop's.
+    """
+    X_test = np.asarray(X_test)
+    targets = np.asarray(targets, dtype=np.int64)
+    nq = len(targets)
+    J = net.cards[targets]
+    q = np.repeat(np.arange(nq), J)  # the query of each row
+    y = np.arange(len(q)) - np.repeat(np.cumsum(J) - J, J)  # its candidate
+    t = targets[q]
+    cand = np.ascontiguousarray(X_test)[q]
+    cand[np.arange(len(q)), t] = y
+    # Every row's slots as (row, slot) entries, sorted by factor variable
+    # (stable): the entries of v are [edges[v], edges[v + 1]).
+    factors = [[v, *net.children[v]] for v in range(net.n)]
+    n_fac = np.array([len(f) for f in factors], dtype=np.int64)
+    n_slots = n_fac[t]
+    e_row = np.repeat(np.arange(len(q)), n_slots)
+    e_slot = np.arange(len(e_row)) - np.repeat(np.cumsum(n_slots) - n_slots, n_slots)
+    e_var = np.concatenate(factors)[(np.cumsum(n_fac) - n_fac)[t][e_row] + e_slot]
+    order = np.argsort(e_var, kind="stable")
+    e_row, e_slot = e_row[order], e_slot[order]
+    edges = np.searchsorted(e_var[order], np.arange(net.n + 1))
+    slot_vals = np.empty((int(n_slots.max(initial=1)), len(q)))
+    for v in np.flatnonzero(np.diff(edges)):
+        r = e_row[edges[v] : edges[v + 1]]
+        sub = cand[r]
+        slot_vals[e_slot[edges[v] : edges[v + 1]], r] = model.log_factor(
+            v, sub[:, v], net.parent_config_index(sub, v)
         )
-    return int(np.argmax(score))
+    score = slot_vals[0]
+    for s in range(1, len(slot_vals)):
+        h = np.flatnonzero(n_slots > s)
+        score[h] = score[h] + slot_vals[s, h]
+    grid = np.full((nq, int(J.max(initial=1))), -np.inf)
+    grid[q, y] = score
+    return grid
 
 
 def error_rate(
     model, net: BayesNet, X_test: np.ndarray, targets: np.ndarray
 ) -> float:
     """Fraction of test events whose hidden variable is mispredicted."""
-    wrong = 0
-    for r in range(X_test.shape[0]):
-        t = int(targets[r])
-        if predict_one(model, net, X_test[r], t) != int(X_test[r, t]):
-            wrong += 1
-    return wrong / X_test.shape[0]
+    targets = np.asarray(targets, dtype=np.int64)
+    truth = np.asarray(X_test)[np.arange(len(targets)), targets]
+    return np.count_nonzero(predict(model, net, X_test, targets) != truth) / len(targets)

@@ -56,7 +56,3 @@ def mean_abs_ratio_error(logp_model: np.ndarray, logp_ref: np.ndarray) -> float:
     """Paper's testing error: average of ``|P_model(x)/P_ref(x) - 1|``
     over the test events, computed stably in log space."""
     return float(np.mean(np.abs(np.expm1(logp_model - logp_ref))))
-
-
-def median_abs_ratio_error(logp_model: np.ndarray, logp_ref: np.ndarray) -> float:
-    return float(np.median(np.abs(np.expm1(logp_model - logp_ref))))

@@ -3,8 +3,9 @@
 Implements the randomized distributed counter of Huang, Yi & Zhang
 (PODS 2012) that the paper uses as its primitive (Lemma 4): ``k`` sites
 each receive increments of a shared logical counter and a coordinator
-continuously maintains an unbiased estimate with relative standard
-deviation ``eps``, using ``O(sqrt(k)/eps * log T)`` messages.
+continuously maintains an estimate with relative standard deviation
+``eps`` (unbiased within a round; see ``counters``), using
+``O(sqrt(k)/eps * log T)`` messages.
 
 Two implementations with identical semantics:
 

@@ -131,17 +131,15 @@ class BatchCounterEngine:
         this batch. No pair's count may pass ``SITE_COUNT_MAX`` (raises
         ``ValueError`` before any state changes).
         """
-        cid = np.asarray(cid, dtype=np.int64)
-        sid = np.asarray(sid, dtype=np.int64)
-        n = np.asarray(n, dtype=np.int64)
+        # The ids keep their integer dtypes (the aggregation's are int32
+        # and uint8); only the fused key is int64.
+        cid, sid, n = np.asarray(cid), np.asarray(sid), np.asarray(n, dtype=np.int64)
         if len(cid) == 0:
             return
         _check_increments(n)
         key = self._check_pairs(cid, sid)
         f, r, rep = self.f.reshape(-1), self.r.reshape(-1), self.rep.reshape(-1)
-        p_rows = self.p[cid]
-        fstart = f[key]
-        fend = fstart + n  # int64
+        fend = f[key] + n  # int64
         if fend.max() > SITE_COUNT_MAX:
             raise ValueError("a (counter, site) count would exceed SITE_COUNT_MAX")
         f[key] = fend
@@ -157,9 +155,9 @@ class BatchCounterEngine:
         np.add.at(self.messages, cid, n)
         r_new = fend
         sent = n > 0
-        thin = np.flatnonzero(p_rows < 1.0)
+        thin = np.flatnonzero((self.p < 1.0)[cid])
         if len(thin):
-            nt, pt, kt = n[thin], p_rows[thin], key[thin]
+            nt, pt, kt = n[thin], self.p[cid[thin]], key[thin]
             u = self.rng.random(len(thin))
             with np.errstate(divide="ignore"):
                 G = np.minimum(np.floor(np.log(u) / np.log1p(-pt)), nt)
@@ -169,7 +167,8 @@ class BatchCounterEngine:
             if len(h):
                 M[h] = self.rng.binomial(L[h] - 1, pt[h]) + 1
             np.add.at(self.messages, cid[thin], M - nt)
-            r_new[thin] = np.where(L > 0, fstart[thin] + L, r[kt])
+            # fend - nt is the local count before this batch.
+            r_new[thin] = np.where(L > 0, fend[thin] - nt + L, r[kt])
             sent[thin] = L > 0
         r[key] = r_new
         rep[key] |= sent
@@ -192,7 +191,8 @@ class BatchCounterEngine:
         """
         _check_range(cid, self.nc, "counter")
         _check_range(sid, self.k, "site")
-        key = cid * self.k + sid
+        key = np.multiply(cid, self.k, dtype=np.int64)
+        key += sid
         if not np.all(key[1:] > key[:-1]):
             s = np.sort(key)
             if np.any(s[1:] == s[:-1]):

@@ -15,8 +15,14 @@ Protocol (after Huang, Yi & Zhang, PODS 2012 — the paper's Lemma 4):
 * Rounds: when the estimate doubles, the coordinator re-syncs — every
   site with a stale value sends its exact count — and the reporting
   probability is lowered to ``p = min(1, proto_c * sqrt(k)/(eps * C))``.
-  The sync removes any cross-round staleness, so the estimator stays
-  unbiased with ``Var <= k (1-p)/p^2 <= (eps C / proto_c)^2``.
+  The sync removes any cross-round staleness, and within a round
+  ``Var <= k (1-p)/p^2 <= (eps C / proto_c)^2``. Across rounds the
+  estimator is *not* unbiased at a fixed count: a round ends when the
+  estimate doubles, a time that depends on the estimate itself. As
+  measured, 240 events at eps 0.1, k 4, proto_c 1 (the sites of
+  ``TestAgainstSequentialCounter``) give a mean estimate of 238.57 over
+  1,500 seeds (238.31 for the batched engine), 5-6 standard errors
+  below 240.
 
 Message cost: ``O(sqrt(k)/eps)`` reports per round plus at most ``k``
 sync messages per round, over ``O(log T)`` rounds — the Lemma 4 bound

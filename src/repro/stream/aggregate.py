@@ -80,8 +80,20 @@ def _agg_kernel(
 
 
 def _split(keys: np.ndarray, cnts: np.ndarray, k: int) -> Counts:
-    """Sorted fused keys and their counts -> ``(counter_id, site, n)``."""
-    return keys // k, keys % k, cnts.astype(np.int64, copy=False)
+    """Sorted fused keys and their counts -> ``(counter_id, site, n)``.
+
+    The triple is as narrow as its values allow: ``counter_id`` int32
+    (raises if a key's id would not fit), ``site`` the smallest unsigned
+    type that holds ``k - 1``, and ``n`` int64, which keeps the engines'
+    ``np.add.at`` on its fast path.
+    """
+    if len(keys) and keys[-1] // k > np.iinfo(np.int32).max:
+        raise ValueError("a counter id does not fit the int32 triple")
+    return (
+        (keys // k).astype(np.int32),
+        (keys % k).astype(np.min_scalar_type(k - 1)),
+        cnts.astype(np.int64, copy=False),
+    )
 
 
 def _merge(parts: list[tuple[np.ndarray, np.ndarray]], size: int, k: int) -> Counts:

@@ -35,9 +35,14 @@ def rows(batch) -> pd.DataFrame:
     return pd.DataFrame(dict(zip(["counter_id", "site", "n"], batch)))
 
 
-def assert_same(a, b) -> None:
+def triple_dtypes(k: int) -> list[np.dtype]:
+    """The ``(counter_id, site, n)`` dtypes every path returns for ``k`` sites."""
+    return [np.dtype(np.int32), np.min_scalar_type(k - 1), np.dtype(np.int64)]
+
+
+def assert_same(a, b, k: int) -> None:
+    assert [x.dtype for x in a] == [y.dtype for y in b] == triple_dtypes(k)
     for x, y in zip(a, b, strict=True):
-        assert x.dtype == y.dtype == np.int64
         np.testing.assert_array_equal(x, y)
 
 
@@ -115,7 +120,7 @@ class TestPathAgreement:
         with mock.patch.object(aggregate, "_task_bounds", four_slots):
             got = aggregate_generated(spark, gt, lo, hi, k=5, seed=11)
         assert len(cuts[0]) == 4
-        assert_same(got, aggregate_local(gt, lo, hi, k=5, seed=11))
+        assert_same(got, aggregate_local(gt, lo, hi, k=5, seed=11), 5)
 
     def test_generated_partition_split_invariant(self, spark, gt):
         """A range inside one chunk is one task, and still equals the
@@ -125,11 +130,12 @@ class TestPathAgreement:
         assert_same(
             aggregate_generated(spark, gt, lo, hi, k=4, seed=12),
             aggregate_local(gt, lo, hi, k=4, seed=12),
+            4,
         )
 
     def test_generated_empty_range(self, spark, gt):
         out = aggregate_generated(spark, gt, 700, 700, k=4, seed=12)
-        assert [a.dtype for a in out] == [np.int64] * 3
+        assert [a.dtype for a in out] == triple_dtypes(4)
         assert all(len(a) == 0 for a in out)
 
     def test_events_df_equals_local(self, spark, gt):
@@ -138,6 +144,7 @@ class TestPathAgreement:
         assert_same(
             aggregate_events_df(spark, gt.net, sdf, k=4),
             aggregate_local(gt, 0, 2000, k=4, seed=13),
+            4,
         )
 
 
@@ -230,7 +237,7 @@ class TestKernel:
             aggregate._agg_kernel(net, X, sample_sites(0, 1000, k=4, seed=2), 4)
 
     def test_rejects_negative_value(self, gt):
-        X = sample_events(gt, 0, 50, seed=1)
+        X = sample_events(gt, 0, 50, seed=1).astype(np.int16)
         X[7, 2] = -1
         with pytest.raises(ValueError, match="outside its domain"):
             aggregate._agg_kernel(gt.net, X, np.zeros(50, dtype=np.int32), 2)
@@ -289,8 +296,15 @@ class TestMerge:
         ]
         got = aggregate._merge(parts, size, k)
         want = unique_merge(parts, k)
+        assert [x.dtype for x in got] == triple_dtypes(k)
         for x, y in zip(got, want, strict=True):
-            assert x.dtype == np.int64
             np.testing.assert_array_equal(x, y)
         keys = got[0] * k + got[1]
         assert np.all(np.diff(keys) > 0)
+
+    def test_split_rejects_counter_id_past_int32(self):
+        keys = np.array([3 * (2**31 - 1), 3 * 2**31 + 2])
+        with pytest.raises(ValueError, match="int32"):
+            aggregate._split(keys, np.ones(2, dtype=np.int64), 3)
+        cid, sid, n = aggregate._split(keys[:1], np.ones(1, dtype=np.int64), 3)
+        assert cid.tolist() == [2**31 - 1] and cid.dtype == np.int32

@@ -3,8 +3,12 @@ exact-in-distribution suffix-geometric decomposition (DESIGN.md 2.2)."""
 import numpy as np
 import pytest
 
+from repro.bayesnet import networks
+from repro.core.budget import counter_eps
 from repro.distmon.batch import SITE_COUNT_MAX, BatchCounterEngine, ExactCounterEngine
 from repro.distmon.counters import SeqDistCounter
+from repro.stream.aggregate import aggregate_local
+from repro.stream.events import batch_ranges
 
 
 def single(eps=0.3, k=4, seed=0, proto_c=1.0, nc=1):
@@ -349,6 +353,25 @@ def test_p1_rows_draw_nothing():
     np.testing.assert_array_equal(e.messages - before, [3, 8, 2])
     np.testing.assert_array_equal(e.r, e.f)
     assert e.f[0, 1] == 8 and e.f[2, 0] == 42
+
+
+def test_narrow_triple_equals_int64():
+    """The aggregation's int32 / uint8 ids give the same state, messages
+    and generator position, batch by batch, as the same rows in int64."""
+    gt = networks.ground_truth("alarm")
+    k = 6
+    eps = counter_eps(gt.net, "uniform", 0.1)
+    narrow = BatchCounterEngine(eps, k, seed=4, proto_c=0.1)
+    wide = BatchCounterEngine(eps, k, seed=4, proto_c=0.1)
+    for lo, hi in batch_ranges(20_000, first=512):
+        cid, sid, n = aggregate_local(gt, lo, hi, k=k, seed=5)
+        assert (cid.dtype, sid.dtype) == (np.int32, np.uint8)
+        narrow.update(cid, sid, n)
+        wide.update(cid.astype(np.int64), sid.astype(np.int64), n)
+        for name in ("p", "f", "r", "rep", "round_est", "messages"):
+            np.testing.assert_array_equal(getattr(narrow, name), getattr(wide, name), err_msg=name)
+        assert narrow.rng.bit_generator.state == wide.rng.bit_generator.state
+    assert np.any(narrow.p < 1.0)
 
 
 def ks_statistic(a, b):

@@ -1,4 +1,10 @@
-"""Tests for Bayesian classification (Section 5.3)."""
+"""Tests for Bayesian classification (Section 5.3).
+
+The batched ``classify.predict`` / ``error_rate`` are checked query by
+query against ``predict_one``, a per-query oracle that scores one
+query's candidates at a time, which is in turn checked against
+brute-force enumeration of the full joint.
+"""
 import itertools
 
 import numpy as np
@@ -6,21 +12,48 @@ import pytest
 
 from repro.bayesnet import networks, sampling
 from repro.bayesnet.cpd import GroundTruth
+from repro.bayesnet.structure import BayesNet
 from repro.core import classify
+from repro.core.learner import train_many
 from repro.core.model import CountModel
 
 
 @pytest.fixture(scope="module")
 def vee_gt():
-    from repro.bayesnet.structure import BayesNet
-
     net = BayesNet("vee", [[], [], [0, 1]], np.array([2, 3, 4]))
     return GroundTruth.random(net, seed=5, alpha=0.4)
 
 
+def score_one(model, net: BayesNet, x: np.ndarray, t: int) -> np.ndarray:
+    """One query's log score per candidate of ``t``: the factors of ``t``
+    and of its children, summed in that order."""
+    J = int(net.cards[t])
+    cand = np.tile(x, (J, 1))
+    cand[:, t] = np.arange(J)
+    score = model.log_factor(t, cand[:, t], net.parent_config_index(cand, t))
+    for c in net.children[t]:
+        score = score + model.log_factor(
+            c, cand[:, c], net.parent_config_index(cand, c)
+        )
+    return score
+
+
+def predict_one(model, net: BayesNet, x: np.ndarray, t: int) -> int:
+    """Argmax_y P[X_t = y, x_rest] under ``model`` for one query."""
+    return int(np.argmax(score_one(model, net, x, t)))
+
+
+def predict_both(model, net: BayesNet, x: np.ndarray, t: int) -> int:
+    """The oracle's prediction, after checking that the batched path
+    makes the same one for this query alone."""
+    want = predict_one(model, net, x, t)
+    assert classify.predict(model, net, x[None, :], np.array([t])).tolist() == [want]
+    return want
+
+
 def brute_force_predict(gt: GroundTruth, x: np.ndarray, t: int) -> int:
     """Argmax over the hidden variable of the *full joint* — the
-    definitionally correct answer predict_one must match."""
+    definitionally correct answer the predictions must match."""
     best, best_lp = -1, -np.inf
     for y in range(int(gt.net.cards[t])):
         z = x.copy()
@@ -39,9 +72,7 @@ class TestPredictOne:
                 [rng.integers(0, c) for c in vee_gt.net.cards], dtype=np.int64
             )
             t = int(rng.integers(0, 3))
-            assert classify.predict_one(vee_gt, vee_gt.net, x, t) == brute_force_predict(
-                vee_gt, x, t
-            )
+            assert predict_both(vee_gt, vee_gt.net, x, t) == brute_force_predict(vee_gt, x, t)
 
     def test_matches_brute_force_on_chain(self):
         gt = GroundTruth.random(networks.chain(5, J=3), seed=8, alpha=0.4)
@@ -49,7 +80,7 @@ class TestPredictOne:
         for _ in range(30):
             x = rng.integers(0, 3, 5).astype(np.int64)
             t = int(rng.integers(0, 5))
-            assert classify.predict_one(gt, gt.net, x, t) == brute_force_predict(gt, x, t)
+            assert predict_both(gt, gt.net, x, t) == brute_force_predict(gt, x, t)
 
     def test_matches_brute_force_with_count_model(self):
         """Markov-blanket argmax == full-joint argmax also for learned
@@ -72,7 +103,7 @@ class TestPredictOne:
                         )[0]
                     ),
                 )
-                assert classify.predict_one(model, gt.net, x, t) == full
+                assert predict_both(model, gt.net, x, t) == full
 
 
 class TestMakeTests:
@@ -118,3 +149,44 @@ class TestErrorRate:
         err_model = classify.error_rate(model, gt.net, Xt, targets)
         err_true = classify.error_rate(gt, gt.net, Xt, targets)
         assert abs(err_model - err_true) < 0.05
+
+
+class TestBatched:
+    @pytest.mark.parametrize("name", ["alarm", "hepar2", "link", "munin", "new-alarm"])
+    def test_equals_per_query_loop(self, name):
+        """Every query's batched scores equal the oracle's bit for bit,
+        and so do the predictions, for a learned CountModel and for the
+        ground truth, on every network."""
+        gt = networks.ground_truth(name)
+        res = train_many(None, gt, ["nonuniform"], m=3000, k=4, eps=0.1, seed=3, proto_c=0.1)
+        Xt, targets = classify.make_tests(gt, 300, seed=4)
+        for model in (res["nonuniform"].model, gt):
+            grid = classify._scores(model, gt.net, Xt, targets)
+            for q in range(300):
+                t = int(targets[q])
+                want = score_one(model, gt.net, Xt[q], t)
+                assert grid[q, : len(want)].tobytes() == want.tobytes()
+                assert np.all(grid[q, len(want) :] == -np.inf)
+            want = [predict_one(model, gt.net, Xt[q], int(targets[q])) for q in range(300)]
+            got = classify.predict(model, gt.net, Xt, targets)
+            np.testing.assert_array_equal(got, want)
+            truth = Xt[np.arange(300), targets]
+            assert classify.error_rate(model, gt.net, Xt, targets) == np.mean(got != truth)
+
+    def test_first_maximum_wins_ties(self):
+        """With no counts every candidate scores the same, so each query
+        predicts 0; where candidates 1 and 2 tie above 0, it predicts 1.
+        Variable 0 has no children, variable 2 two parents."""
+        net = BayesNet("ties", [[], [], [1, 3], []], np.array([3, 2, 2, 3]))
+        X = np.array([[2, 1, 1, 0], [0, 0, 0, 2], [1, 1, 0, 1]])
+        targets = np.array([0, 2, 3])
+        empty = CountModel(net, np.zeros(net.n_counters))
+        np.testing.assert_array_equal(classify.predict(empty, net, X, targets), [0, 0, 0])
+        values = np.zeros(net.n_counters)
+        values[net.fam_offset[0] : net.fam_offset[1]] = [1, 5, 5]
+        tied = CountModel(net, values)
+        got = classify.predict(tied, net, X, targets)
+        np.testing.assert_array_equal(got, [1, 0, 0])
+        for q in range(3):
+            assert got[q] == predict_one(tied, net, X[q], int(targets[q]))
+        assert classify.error_rate(tied, net, X, targets) == 2 / 3

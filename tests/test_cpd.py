@@ -115,5 +115,6 @@ class TestExactCounterProbs:
         probs = gt.exact_counter_probs()
         # P[X1 = 0, X0 = 0] from enumeration vs family counter of node 1.
         manual = p[(X[:, 1] == 0) & (X[:, 0] == 0)].sum()
-        cid = int(net.family_ids(np.array([[0, 0, 0]]), 1)[0])
+        x = np.array([[0, 0, 0]])
+        cid = int(net.counter_ids(1, x[:, 1], net.parent_config_index(x, 1))[0][0])
         assert probs[cid] == pytest.approx(manual)

@@ -39,9 +39,10 @@ def spark_jobs(sc):
         ids += sc.statusTracker().getJobIdsForGroup(group)
 
 
-def assert_same(a, b) -> None:
+def assert_same(a, b, k: int) -> None:
+    want = [np.dtype(np.int32), np.min_scalar_type(k - 1), np.dtype(np.int64)]
+    assert [x.dtype for x in a] == [y.dtype for y in b] == want
     for x, y in zip(a, b, strict=True):
-        assert x.dtype == y.dtype == np.int64
         np.testing.assert_array_equal(x, y)
 
 
@@ -85,7 +86,7 @@ def test_every_batch_equals_local(spark, gt, schedule, slots):
         got = [aggregate_generated(job, gt, lo, hi, k=5, seed=11) for lo, hi in ranges]
     assert len(ids) == 1
     for (lo, hi), batch in zip(ranges, got, strict=True):
-        assert_same(batch, aggregate_local(gt, lo, hi, k=5, seed=11))
+        assert_same(batch, aggregate_local(gt, lo, hi, k=5, seed=11), 5)
 
 
 class TestInputChecks:

@@ -108,7 +108,7 @@ class TestCounterIndex:
         X = np.array(
             [[a, b, c] for a in range(2) for b in range(3) for c in range(4)]
         )
-        fam2 = net.family_ids(X, 2)
+        fam2 = net.counter_ids(2, X[:, 2], net.parent_config_index(X, 2))[0]
         assert len(set(fam2.tolist())) == 24
         lo, hi = net.fam_offset[2], net.fam_offset[3]
         assert fam2.min() >= lo and fam2.max() < hi
@@ -116,10 +116,14 @@ class TestCounterIndex:
     def test_decode_family_id_inverse(self):
         net = tiny_vee()
         X = np.array([[1, 2, 3]])
-        cid = int(net.family_ids(X, 2)[0])
-        i, xi, pidx = net.decode_family_id(cid)
-        assert (i, xi) == (2, 3)
-        assert pidx == int(net.parent_config_index(X, 2)[0])
+        pidx = net.parent_config_index(X, 2)
+        cid = int(net.counter_ids(2, X[:, 2], pidx)[0][0])
+        # Decode the id by the documented layout: variable i's family
+        # block holds (x_i, x_par_index) at x_par_index * J_i + x_i.
+        i = int(np.searchsorted(net.fam_offset, cid, side="right") - 1)
+        off = cid - int(net.fam_offset[i])
+        J = int(net.cards[i])
+        assert (i, off % J, off // J) == (2, 3, int(pidx[0]))
 
     def test_all_counter_ids_matches_per_node(self):
         net = networks.make("alarm")
@@ -127,8 +131,9 @@ class TestCounterIndex:
         X = np.stack([rng.integers(0, net.cards[i], 50) for i in range(net.n)], axis=1)
         fam, par = net.all_counter_ids(X)
         for i in [0, 5, net.n - 1]:
-            assert np.array_equal(fam[:, i], net.family_ids(X, i))
-            assert np.array_equal(par[:, i], net.parent_ids(X, i))
+            want = net.counter_ids(i, X[:, i], net.parent_config_index(X, i))
+            assert np.array_equal(fam[:, i], want[0])
+            assert np.array_equal(par[:, i], want[1])
 
     def test_blocks_disjoint(self):
         net = tiny_vee()
