@@ -20,14 +20,15 @@ from repro.bayesnet.cpd import GroundTruth
 from repro.bayesnet.structure import BayesNet
 from repro.core.budget import counter_eps, naive_bayes_eps
 from repro.core.model import CountModel
-from repro.distmon.batch import BatchCounterEngine, ExactCounterEngine
+from repro.distmon.batch import BatchCounterEngine, ExactCounterEngine, SiteLedger
 from repro.stream.aggregate import StreamJob, aggregate_generated, aggregate_local
 from repro.stream.events import batch_ranges
 
 
 class Algorithm(NamedTuple):
-    #: ``(net, eps) -> (n_counters,)`` per-counter error parameters
-    #: (Algorithm 1's ``epsfnA`` / ``epsfnB``); ``None`` for exact counters.
+    #: ``(net, eps) ->`` per-counter error parameters of the ledger's first
+    #: ``len(eps)`` counters (Algorithm 1's ``epsfnA`` / ``epsfnB``);
+    #: ``None`` for exact counters.
     counter_eps: Callable[[BayesNet, float], np.ndarray] | None
     #: Algorithm 4: every leaf's parent counters are one physical counter
     #: (root-0 Naive-Bayes networks only).
@@ -39,7 +40,10 @@ ALGORITHMS: dict[str, Algorithm] = {
     "baseline": Algorithm(lambda net, eps: counter_eps(net, "baseline", eps)),
     "uniform": Algorithm(lambda net, eps: counter_eps(net, "uniform", eps)),
     "nonuniform": Algorithm(lambda net, eps: counter_eps(net, "nonuniform", eps)),
-    "nb-shared": Algorithm(naive_bayes_eps, shared_parents=True),
+    "nb-shared": Algorithm(
+        lambda net, eps: naive_bayes_eps(net, eps)[: net.par_offset[min(2, net.n)]],
+        shared_parents=True,
+    ),
 }
 
 
@@ -84,24 +88,27 @@ class Learner:
         self.net = net
         self.collect_snapshots = collect_snapshots
         self.events = 0
+        self.ledger = SiteLedger(net.n_counters, k)
         self.engines: dict[str, ExactCounterEngine | BatchCounterEngine] = {}
         for j, algo in enumerate(algos):
             fn = ALGORITHMS[algo].counter_eps
             self.engines[algo] = (
-                ExactCounterEngine(net.n_counters)
+                ExactCounterEngine(self.ledger)
                 if fn is None
                 else BatchCounterEngine(
-                    fn(net, eps), k, seed=seed * 1000 + j, proto_c=proto_c
+                    fn(net, eps), self.ledger, seed=seed * 1000 + j, proto_c=proto_c
                 )
             )
         self.results = {algo: TrainResult(algo, None, 0, [(0, 0)]) for algo in algos}  # type: ignore[arg-type]
 
     def update(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
-        """Feed one micro-batch of ``(counter_id, site, n)`` rows to every
-        engine. Each event increments ``2n`` counters, so the batch holds
-        ``sum(n) / 2n`` events; an empty batch adds no history point."""
+        """Feed one micro-batch of ``(counter_id, site, n)`` rows to the
+        ledger, which checks it first, then to every engine. Each event
+        increments ``2n`` counters, so the batch holds ``sum(n) / 2n``
+        events; an empty batch adds no history point."""
         if not len(cid):
             return
+        self.ledger.add(cid, sid, n)
         self.events += int(n.sum()) // (2 * self.net.n)
         for algo, eng in self.engines.items():
             if ALGORITHMS[algo].shared_parents:
@@ -109,8 +116,9 @@ class Learner:
                 # the same event X_0 = x_0, and the physical counter (leaf
                 # 1's block) is incremented once per event. Leaves
                 # 2..n-1's rows repeat those increments, so they are
-                # dropped, not summed.
-                own = cid < self.net.par_offset[min(2, self.net.n)]
+                # dropped, not summed; the engine runs only the counters
+                # before them.
+                own = cid < eng.nc
                 eng.update(cid[own], sid[own], n[own])
             else:
                 eng.update(cid, sid, n)
@@ -124,7 +132,7 @@ class Learner:
         if ALGORITHMS[algo].shared_parents:
             net = self.net
             block = vals[net.par_offset[1] : net.par_offset[2]]
-            vals[net.par_offset[2] :] = np.tile(block, net.n - 2)
+            vals = np.concatenate([vals, np.tile(block, net.n - 2)])
         return vals
 
     def models(self) -> dict[str, TrainResult]:

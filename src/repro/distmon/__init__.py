@@ -13,16 +13,18 @@ Two implementations with identical semantics:
   used to validate the protocol's statistical guarantees directly;
 * :mod:`repro.distmon.batch` — a vectorized engine running hundreds of
   thousands of counters at once from per-batch aggregated increment
-  counts, exact-in-distribution (suffix-geometric decomposition). Its
-  state is the reference's, one row per counter; estimates and message
-  totals are derived from it.
+  counts, exact-in-distribution (suffix-geometric decomposition). The
+  sites' true counts live once, in a :class:`SiteLedger` shared by every
+  engine; an approximate engine keeps the reference's coordinator state,
+  one row per counter, and reads a ``p = 1`` counter's estimate off the
+  ledger. EXACTMLE's engine is a view of the ledger.
 """
-from repro.distmon.counters import ExactCounter, SeqDistCounter
-from repro.distmon.batch import BatchCounterEngine, ExactCounterEngine
+from repro.distmon.counters import SeqDistCounter
+from repro.distmon.batch import BatchCounterEngine, ExactCounterEngine, SiteLedger
 
 __all__ = [
-    "ExactCounter",
     "SeqDistCounter",
     "BatchCounterEngine",
     "ExactCounterEngine",
+    "SiteLedger",
 ]

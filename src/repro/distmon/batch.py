@@ -32,58 +32,98 @@ import numpy as np
 SITE_COUNT_MAX = int(np.iinfo(np.int32).max)
 
 
-def _check_range(ids: np.ndarray, size: int, what: str) -> None:
-    """Raise unless every id lies in ``[0, size)``."""
-    if len(ids) and (ids.min() < 0 or ids.max() >= size):
-        raise ValueError(f"{what} id out of range")
+class SiteLedger:
+    """The sites' true local counts ``f`` (int32, ``n_counters x k``) and
+    each counter's exact total ``totals`` (int64), kept once for every
+    engine: ``add`` checks and applies a batch, each engine ``take``s it."""
 
+    def __init__(self, n_counters: int, k: int) -> None:
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        self.k = int(k)
+        self.f = np.zeros((n_counters, k), dtype=np.int32)
+        self.totals = np.zeros(n_counters, dtype=np.int64)
+        #: Batches added so far.
+        self.batches = 0
 
-def _check_increments(n: np.ndarray) -> None:
-    """Raise unless every increment count is ``>= 0``."""
-    if len(n) and n.min() < 0:
-        raise ValueError("negative increment count")
+    def add(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
+        """Add ``n`` events to each (counter ``cid``, site ``sid``) pair.
+
+        Raises ``ValueError``, before any state changes, unless every id
+        is in range, the pairs are unique (O(rows) on the sorted output
+        every aggregation path emits, else a sort), every ``n >= 0`` and
+        no pair's count passes ``SITE_COUNT_MAX``.
+        """
+        # The ids keep their integer dtypes (the aggregation's are int32
+        # and uint8); only the fused key is int64.
+        cid, sid, n = np.asarray(cid), np.asarray(sid), np.asarray(n, dtype=np.int64)
+        if len(cid):
+            for ids, size, what in ((cid, len(self.totals), "counter"), (sid, self.k, "site")):
+                if ids.min() < 0 or ids.max() >= size:
+                    raise ValueError(f"{what} id out of range")
+            if n.min() < 0:
+                raise ValueError("negative increment count")
+            key = np.multiply(cid, self.k, dtype=np.int64)
+            key += sid
+            if not np.all(key[1:] > key[:-1]):
+                s = np.sort(key)
+                if np.any(s[1:] == s[:-1]):
+                    raise ValueError("duplicate (counter, site) pairs in one update")
+            f = self.f.reshape(-1)
+            fend = f[key] + n  # int64
+            if fend.max() > SITE_COUNT_MAX:
+                raise ValueError("a (counter, site) count would exceed SITE_COUNT_MAX")
+            f[key] = fend
+            np.add.at(self.totals, cid, n)
+        self.batches += 1
+
+    def take(self, batches: int) -> int:
+        """The batches added, for an engine that has taken ``batches``;
+        raises ``ValueError`` unless exactly one was added since."""
+        if self.batches != batches + 1:
+            raise ValueError("an engine update must follow exactly one ledger add")
+        return self.batches
 
 
 class ExactCounterEngine:
-    """EXACTMLE's counters: exact values, one message per increment."""
+    """EXACTMLE's counters: the ledger's totals, one message per increment."""
 
-    def __init__(self, n_counters: int) -> None:
-        self.counts = np.zeros(n_counters, dtype=np.int64)
+    def __init__(self, ledger: SiteLedger) -> None:
+        self.ledger = ledger
+        self.batches = 0
 
     def update(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
-        """Add ``n`` to counters ``cid`` (repeats sum); ids must be in range
-        and every ``n >= 0``."""
-        _check_range(cid, len(self.counts), "counter")
-        _check_increments(n)
-        np.add.at(self.counts, cid, n)
+        """Take the micro-batch ``(cid, sid, n)`` the ledger has just added."""
+        self.batches = self.ledger.take(self.batches)
 
     @property
     def total_messages(self) -> int:
-        return int(self.counts.sum())
+        return int(self.ledger.totals.sum())
 
     def estimates(self) -> np.ndarray:
-        return self.counts.astype(np.float64)
+        return self.ledger.totals.astype(np.float64)
 
 
 class BatchCounterEngine:
     """All approximate counters of one algorithm, batched.
 
-    The state is :class:`~repro.distmon.counters.SeqDistCounter`'s, one
-    row per counter: ``p``, ``f``, ``r``, ``rep``, ``round_est`` and
-    ``messages``. Estimates and the message total are derived from it.
-    Only rows with ``p < 1`` draw from the protocol generator ``rng``: a
-    uniform each, then a binomial each where there is a message, in row
-    order. The per-site counts ``f`` and ``r`` are int32, so one
-    (counter, site) pair counts at most ``SITE_COUNT_MAX`` events;
-    ``update`` raises before it would pass that.
+    The state is :class:`~repro.distmon.counters.SeqDistCounter`'s
+    coordinator side, one row per counter: ``p``, ``r`` (int32), ``rep``,
+    ``round_est`` and ``messages``; ``f`` is the ledger's. ``p`` never
+    rises, so a ``p == 1`` counter has ``r == f`` and its estimate is the
+    ledger's total: ``r`` and ``rep`` are used only where ``p < 1``, and
+    a round advance, which may lower ``p``, sets ``r = f``. Only rows
+    with ``p < 1`` draw from the protocol generator ``rng``: a uniform
+    each, then a binomial each where there is a message, in row order.
 
     Parameters
     ----------
     eps:
         Per-counter error parameter array ``(n_counters,)`` — the output
         of :mod:`repro.core.budget` for BASELINE / UNIFORM / NONUNIFORM.
-    k:
-        Number of sites (``>= 1``).
+        The engine runs the ledger's first ``len(eps)`` counters.
+    ledger:
+        The sites' counts; each ``update`` follows one ``ledger.add``.
     seed:
         Protocol RNG seed (site coin flips).
     proto_c:
@@ -96,24 +136,25 @@ class BatchCounterEngine:
     """
 
     def __init__(
-        self, eps: np.ndarray, k: int, *, seed: int, proto_c: float = 1.0
+        self, eps: np.ndarray, ledger: SiteLedger, *, seed: int, proto_c: float = 1.0
     ) -> None:
         eps = np.asarray(eps, dtype=np.float64)
         if not np.all(np.isfinite(eps) & (eps > 0)):
             raise ValueError("all counter eps must be positive and finite")
         if not (np.isfinite(proto_c) and proto_c > 0):
             raise ValueError("proto_c must be positive and finite")
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        if len(eps) > len(ledger.totals):
+            raise ValueError("more counters than the ledger holds")
         self.eps = eps
-        self.k = int(k)
+        self.ledger = ledger
+        self.k = ledger.k
         self.proto_c = float(proto_c)
         self.nc = len(eps)
+        self.batches = 0
         self.rng = np.random.default_rng([seed, 0xD15C])
         self.p = np.ones(self.nc, dtype=np.float64)
-        self.f = np.zeros((self.nc, k), dtype=np.int32)  # true local counts
-        self.r = np.zeros((self.nc, k), dtype=np.int32)  # synced/reported
-        self.rep = np.zeros((self.nc, k), dtype=bool)  # reported this round
+        self.r = np.zeros((self.nc, self.k), dtype=np.int32)  # synced/reported
+        self.rep = np.zeros((self.nc, self.k), dtype=bool)  # reported this round
         self.round_est = np.ones(self.nc, dtype=np.float64)
         self.messages = np.zeros(self.nc, dtype=np.int64)
 
@@ -122,42 +163,26 @@ class BatchCounterEngine:
         return int(self.messages.sum())
 
     def update(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
-        """Apply one micro-batch of aggregated increments.
-
-        ``(cid, sid)`` pairs must be unique and in range within the call
-        and every ``n >= 0`` (raises ``ValueError`` otherwise: a duplicate
-        would keep one write to the site state but charge every copy's
-        messages); ``n`` is the number of increments the pair received in
-        this batch. No pair's count may pass ``SITE_COUNT_MAX`` (raises
-        ``ValueError`` before any state changes).
-        """
-        # The ids keep their integer dtypes (the aggregation's are int32
-        # and uint8); only the fused key is int64.
+        """Apply the micro-batch ``(cid, sid, n)`` the ledger has just checked
+        and added; raises ``ValueError`` unless exactly one batch was added
+        since this engine's last update."""
+        self.batches = self.ledger.take(self.batches)
         cid, sid, n = np.asarray(cid), np.asarray(sid), np.asarray(n, dtype=np.int64)
         if len(cid) == 0:
             return
-        _check_increments(n)
-        key = self._check_pairs(cid, sid)
-        f, r, rep = self.f.reshape(-1), self.r.reshape(-1), self.rep.reshape(-1)
-        fend = f[key] + n  # int64
-        if fend.max() > SITE_COUNT_MAX:
-            raise ValueError("a (counter, site) count would exceed SITE_COUNT_MAX")
-        f[key] = fend
 
         # At p == 1 every increment reports and nothing is drawn, as in
-        # ``SeqDistCounter.increment``: n messages, the last one at the new
-        # local count (a counter at p == 1 has ``r == f``, so a row with
-        # n == 0 rewrites its own ``r``). Every row is first taken so; the
-        # p < 1 rows then draw, in row order, a uniform for the
-        # trailing-failure geometric G, capped at n ("no message", which
-        # also maps u = 0, G = inf, there), and a binomial for the
-        # messages before the last where there is one.
+        # ``SeqDistCounter.increment``: n messages, and ``r == f`` holds
+        # without a write. Every row is first charged so; the p < 1 rows
+        # then draw, in row order, a uniform for the trailing-failure
+        # geometric G, capped at n ("no message", which also maps u = 0,
+        # G = inf, there), and a binomial for the messages before the
+        # last where there is one.
         np.add.at(self.messages, cid, n)
-        r_new = fend
-        sent = n > 0
         thin = np.flatnonzero((self.p < 1.0)[cid])
         if len(thin):
-            nt, pt, kt = n[thin], self.p[cid[thin]], key[thin]
+            ct, nt = cid[thin], n[thin]
+            pt = self.p[ct]
             u = self.rng.random(len(thin))
             with np.errstate(divide="ignore"):
                 G = np.minimum(np.floor(np.log(u) / np.log1p(-pt)), nt)
@@ -166,12 +191,13 @@ class BatchCounterEngine:
             h = np.flatnonzero(L)
             if len(h):
                 M[h] = self.rng.binomial(L[h] - 1, pt[h]) + 1
-            np.add.at(self.messages, cid[thin], M - nt)
-            # fend - nt is the local count before this batch.
-            r_new[thin] = np.where(L > 0, fend[thin] - nt + L, r[kt])
-            sent[thin] = L > 0
-        r[key] = r_new
-        rep[key] |= sent
+            np.add.at(self.messages, ct, M - nt)
+            # The ledger's f already holds this batch, so f - n is the
+            # local count before it.
+            key = np.multiply(ct[h], self.k, dtype=np.int64)
+            key += sid[thin[h]]
+            self.r.reshape(-1)[key] = self.ledger.f.reshape(-1)[key] - nt[h] + L[h]
+            self.rep.reshape(-1)[key] = True
 
         # Coordinator: advance rounds (sync + lower p) where the estimate
         # doubled. Scanning every counter finds the same ascending ids as
@@ -182,49 +208,30 @@ class BatchCounterEngine:
         if len(adv):
             self._advance_round(adv)
 
-    def _check_pairs(self, cid: np.ndarray, sid: np.ndarray) -> np.ndarray:
-        """The fused keys ``cid * k + sid``, which index the flattened site
-        state; raises unless ids are in range and the pairs unique.
-
-        O(rows) on the sorted output every aggregation path emits; other
-        input falls back to a sort.
-        """
-        _check_range(cid, self.nc, "counter")
-        _check_range(sid, self.k, "site")
-        key = np.multiply(cid, self.k, dtype=np.int64)
-        key += sid
-        if not np.all(key[1:] > key[:-1]):
-            s = np.sort(key)
-            if np.any(s[1:] == s[:-1]):
-                raise ValueError("duplicate (counter, site) pairs in one update")
-        return key
-
     def _estimate(self) -> np.ndarray:
-        """``sum_s r_s + (#sites reported this round) * (1/p - 1)`` per
-        counter, as in ``SeqDistCounter.estimate`` (>= 0; the integer
-        sums are below 2**53, so float64 holds them exactly). The second
-        term is exactly 0.0 at ``p == 1``, so it is only added where
-        ``p < 1``."""
-        # einsum accumulates int32 rows in int64 without the buffered cast
-        # ``sum(dtype=np.int64)`` takes (MUNIN: 3.0 against 5.7 ms a call).
-        est = np.einsum("ij->i", self.r, dtype=np.int64).astype(np.float64)
+        """The ledger's exact total where ``p == 1``, and ``sum_s r_s +
+        (#sites reported this round) * (1/p - 1)`` where ``p < 1``, as in
+        ``SeqDistCounter.estimate`` (>= 0; the integer sums are below
+        2**53, so float64 holds them exactly)."""
+        est = self.ledger.totals[: self.nc].astype(np.float64)
         thin = np.flatnonzero(self.p < 1.0)
-        est[thin] += self.rep[thin].sum(axis=1) * (1.0 / self.p[thin] - 1.0)
+        rsum = self.r[thin].sum(axis=1, dtype=np.int64)
+        est[thin] = rsum + self.rep[thin].sum(axis=1) * (1.0 / self.p[thin] - 1.0)
         return est
 
     def _advance_round(self, adv: np.ndarray) -> None:
         """Exact re-sync of stale sites + reporting-probability drop.
 
-        Only counters with ``p < 1`` can have stale sites: ``p`` never
-        rises, so a counter at ``p == 1`` has reported every increment
-        since it started and its ``r == f`` at every site.
+        Only counters already at ``p < 1`` can have stale sites, so only
+        they send sync messages; every advanced counter's ``r`` becomes
+        ``f``, since its ``p`` may drop below 1 here.
         """
+        f = self.ledger.f
         thin = adv[self.p[adv] < 1.0]
-        ft = self.f[thin]
-        self.messages[thin] += (ft != self.r[thin]).sum(axis=1)  # ids unique
-        self.r[thin] = ft
+        self.messages[thin] += (f[thin] != self.r[thin]).sum(axis=1)  # ids unique
+        self.r[adv] = f[adv]
         self.rep[adv] = False
-        exact = self.f[adv].sum(axis=1, dtype=np.int64).astype(np.float64)
+        exact = self.ledger.totals[adv].astype(np.float64)
         self.p[adv] = np.clip(
             np.minimum(
                 self.p[adv],
@@ -238,7 +245,3 @@ class BatchCounterEngine:
     def estimates(self) -> np.ndarray:
         """Current coordinator-side estimates of all counters."""
         return self._estimate()
-
-    def exact_counts(self) -> np.ndarray:
-        """Ground-truth counter values (tests only — not coordinator-visible)."""
-        return self.f.sum(axis=1, dtype=np.int64)

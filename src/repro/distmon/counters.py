@@ -37,21 +37,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class ExactCounter:
-    """Strawman: every increment is forwarded — ``C`` messages for ``C``."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.messages = 0
-
-    def increment(self, site: int = 0) -> None:
-        self.count += 1
-        self.messages += 1
-
-    def estimate(self) -> float:
-        return float(self.count)
-
-
 class SeqDistCounter:
     """Event-by-event DISTCOUNTER(eps, .) over ``k`` sites."""
 

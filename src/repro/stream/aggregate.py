@@ -195,14 +195,11 @@ class StreamJob:
 
 
 def aggregate_generated(
-    spark: SparkSession | StreamJob, gt: GroundTruth, lo: int, hi: int, *, k: int, seed: int
+    job: StreamJob, gt: GroundTruth, lo: int, hi: int, *, k: int, seed: int
 ) -> Counts:
     """Spark aggregation of stream events ``[lo, hi)`` with
-    partition-local stream generation: batch ``[lo, hi)`` of a
-    :class:`StreamJob`, or of a one-batch job on a ``SparkSession``."""
-    if not isinstance(spark, StreamJob):
-        spark = StreamJob(spark, gt, [(lo, hi)], k=k, seed=seed)
-    return spark.take(gt, lo, hi, k=k, seed=seed)
+    partition-local stream generation: batch ``[lo, hi)`` of ``job``."""
+    return job.take(gt, lo, hi, k=k, seed=seed)
 
 
 def aggregate_events_df(

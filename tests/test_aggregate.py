@@ -21,6 +21,7 @@ from repro.bayesnet.sampling import CHUNK, sample_events, sample_sites
 from repro.bayesnet.structure import BayesNet
 from repro.stream import aggregate
 from repro.stream.aggregate import (
+    StreamJob,
     _task_bounds,
     aggregate_events_df,
     aggregate_generated,
@@ -118,7 +119,8 @@ class TestPathAgreement:
             return cuts[-1]
 
         with mock.patch.object(aggregate, "_task_bounds", four_slots):
-            got = aggregate_generated(spark, gt, lo, hi, k=5, seed=11)
+            job = StreamJob(spark, gt, [(lo, hi)], k=5, seed=11)
+            got = aggregate_generated(job, gt, lo, hi, k=5, seed=11)
         assert len(cuts[0]) == 4
         assert_same(got, aggregate_local(gt, lo, hi, k=5, seed=11), 5)
 
@@ -127,14 +129,16 @@ class TestPathAgreement:
         driver reference."""
         lo, hi = CHUNK + 10, CHUNK + 3000
         assert len(_task_bounds(lo, hi, spark.sparkContext.defaultParallelism)) == 1
+        job = StreamJob(spark, gt, [(lo, hi)], k=4, seed=12)
         assert_same(
-            aggregate_generated(spark, gt, lo, hi, k=4, seed=12),
+            aggregate_generated(job, gt, lo, hi, k=4, seed=12),
             aggregate_local(gt, lo, hi, k=4, seed=12),
             4,
         )
 
     def test_generated_empty_range(self, spark, gt):
-        out = aggregate_generated(spark, gt, 700, 700, k=4, seed=12)
+        job = StreamJob(spark, gt, [(700, 700)], k=4, seed=12)
+        out = aggregate_generated(job, gt, 700, 700, k=4, seed=12)
         assert [a.dtype for a in out] == triple_dtypes(4)
         assert all(len(a) == 0 for a in out)
 

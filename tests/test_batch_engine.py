@@ -5,74 +5,82 @@ import pytest
 
 from repro.bayesnet import networks
 from repro.core.budget import counter_eps
-from repro.distmon.batch import SITE_COUNT_MAX, BatchCounterEngine, ExactCounterEngine
+from repro.distmon.batch import (
+    SITE_COUNT_MAX,
+    BatchCounterEngine,
+    ExactCounterEngine,
+    SiteLedger,
+)
 from repro.distmon.counters import SeqDistCounter
 from repro.stream.aggregate import aggregate_local
 from repro.stream.events import batch_ranges
+from tests.engines import batch_engine, feed, state
 
 
 def single(eps=0.3, k=4, seed=0, proto_c=1.0, nc=1):
-    return BatchCounterEngine(np.full(nc, eps), k, seed=seed, proto_c=proto_c)
+    return batch_engine(np.full(nc, eps), k, seed=seed, proto_c=proto_c)
 
 
 class TestExactEngine:
     def test_counts_and_messages(self):
-        e = ExactCounterEngine(3)
-        e.update(np.array([0, 2]), np.array([0, 1]), np.array([5, 7]))
-        e.update(np.array([2]), np.array([0]), np.array([1]))
+        e = ExactCounterEngine(SiteLedger(3, 2))
+        feed(e, np.array([0, 2]), np.array([0, 1]), np.array([5, 7]))
+        feed(e, np.array([2]), np.array([0]), np.array([1]))
         assert e.estimates().tolist() == [5.0, 0.0, 8.0]
         assert e.total_messages == 13
 
     def test_sums_repeated_ids(self):
-        e = ExactCounterEngine(3)
-        e.update(np.array([1, 1]), np.array([0, 0]), np.array([2, 3]))
+        """A counter's rows at several sites sum."""
+        e = ExactCounterEngine(SiteLedger(3, 2))
+        feed(e, np.array([1, 1]), np.array([0, 1]), np.array([2, 3]))
         assert e.estimates().tolist() == [0.0, 5.0, 0.0]
 
     @pytest.mark.parametrize("cid", [[-1, 0], [0, 3]])
     def test_rejects_out_of_range_ids(self, cid):
         """A negative id would wrap around onto the last counter."""
-        e = ExactCounterEngine(3)
+        e = ExactCounterEngine(SiteLedger(3, 2))
         with pytest.raises(ValueError):
-            e.update(np.array(cid), np.zeros(2, dtype=np.int64), np.ones(2, dtype=np.int64))
-        assert not e.counts.any() and e.total_messages == 0
+            feed(e, np.array(cid), np.zeros(2, dtype=np.int64), np.ones(2, dtype=np.int64))
+        assert not e.ledger.totals.any() and e.total_messages == 0
 
 
 class TestEngineBasics:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
-            BatchCounterEngine(np.array([0.1, 0.0]), 4, seed=0)
+            batch_engine(np.array([0.1, 0.0]), 4, seed=0)
 
     def test_empty_update_noop(self):
         e = single()
-        e.update(np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        empty = np.array([], dtype=np.int64)
+        feed(e, empty, empty, empty)
         assert e.total_messages == 0
 
     def test_exact_counts_always_truth(self):
         e = single(nc=3)
-        e.update(np.array([0, 1]), np.array([0, 1]), np.array([10, 20]))
-        e.update(np.array([0]), np.array([2]), np.array([5]))
-        assert e.exact_counts().tolist() == [15, 20, 0]
+        feed(e, np.array([0, 1]), np.array([0, 1]), np.array([10, 20]))
+        feed(e, np.array([0]), np.array([2]), np.array([5]))
+        assert e.ledger.totals.tolist() == [15, 20, 0]
 
     def test_exact_regime_when_threshold_not_reached(self):
         """eps loose + small counts => p stays 1, estimate is exact and
         messages equal increments."""
         e = single(eps=0.9, k=1)  # threshold sqrt(1)/0.9 ~ 1.1... use tiny counts
-        e.update(np.array([0]), np.array([0]), np.array([1]))
+        feed(e, np.array([0]), np.array([0]), np.array([1]))
         assert e.estimates()[0] == 1.0
         assert e.total_messages == 1
 
     def test_p1_batch_reports_final_value(self):
         e = single(eps=1e-9)  # threshold astronomically large -> p == 1
         e.p[:] = 1.0
-        e.update(np.array([0]), np.array([2]), np.array([100]))
+        feed(e, np.array([0]), np.array([2]), np.array([100]))
         assert e.total_messages == 100
-        assert e.r[0, 2] == 100
+        assert e.ledger.f[0, 2] == 100
         assert e.estimates()[0] == 100.0
 
     def test_counters_independent(self):
         e = single(nc=2, eps=0.3)
-        e.update(np.array([0]), np.array([0]), np.array([50_000]))
-        assert e.exact_counts()[1] == 0
+        feed(e, np.array([0]), np.array([0]), np.array([50_000]))
+        assert e.ledger.totals[1] == 0
         assert e.estimates()[1] == 0.0
         assert e.messages[1] == 0
 
@@ -80,14 +88,14 @@ class TestEngineBasics:
         e = single(nc=4, eps=0.4)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            e.update(np.arange(4), rng.integers(0, 4, 4), rng.integers(1, 100, 4))
+            feed(e, np.arange(4), rng.integers(0, 4, 4), rng.integers(1, 100, 4))
         assert e.messages.sum() == e.total_messages
 
     def test_deterministic_given_seed(self):
         def run():
             e = single(nc=2, seed=42)
             for b in range(8):
-                e.update(np.array([0, 1]), np.array([b % 4, (b + 1) % 4]), np.array([200, 300]))
+                feed(e, np.array([0, 1]), np.array([b % 4, (b + 1) % 4]), np.array([200, 300]))
             return e.total_messages, e.estimates().copy()
 
         m1, e1 = run()
@@ -113,13 +121,13 @@ class TestUpdatePrecondition:
     def test_rejects_bad_pairs(self, cid, sid):
         e = single(nc=3, k=4)
         with pytest.raises(ValueError):
-            e.update(np.array(cid), np.array(sid), np.ones(len(cid), dtype=np.int64))
-        assert e.total_messages == 0 and not e.f.any()
+            feed(e, np.array(cid), np.array(sid), np.ones(len(cid), dtype=np.int64))
+        assert e.total_messages == 0 and not e.ledger.f.any()
 
     def test_accepts_unique_unsorted_pairs(self):
         e = single(nc=3, k=4)
-        e.update(np.array([2, 0, 1, 0]), np.array([0, 3, 1, 0]), np.full(4, 5))
-        assert e.exact_counts().tolist() == [10, 5, 5]
+        feed(e, np.array([2, 0, 1, 0]), np.array([0, 3, 1, 0]), np.full(4, 5))
+        assert e.ledger.totals.tolist() == [10, 5, 5]
 
 
 class TestGeometricDraw:
@@ -138,9 +146,9 @@ class TestGeometricDraw:
         e.p[:] = 0.5
         e.round_est[:] = 1e18  # freeze rounds: test the batch kernel alone
         e.rng = ZeroUniforms()
-        e.update(np.array([0, 1]), np.array([0, 0]), np.array([1, 7]))
+        feed(e, np.array([0, 1]), np.array([0, 0]), np.array([1, 7]))
         assert e.total_messages == 0
-        assert e.exact_counts().tolist() == [1, 7]
+        assert e.ledger.totals.tolist() == [1, 7]
         assert e.r.sum() == 0
 
 
@@ -150,11 +158,11 @@ class TestDecompositionExactness:
     count moments, and last-report value."""
 
     def run_many(self, n, p, reps=40_000, seed=1):
-        e = BatchCounterEngine(np.full(reps, 0.5), k=1, seed=seed)
+        e = batch_engine(np.full(reps, 0.5), k=1, seed=seed)
         e.p[:] = p  # force the reporting probability under test
         e.round_est[:] = 1e18  # freeze rounds: test the batch kernel alone
         cid = np.arange(reps)
-        e.update(cid, np.zeros(reps, dtype=np.int64), np.full(reps, n))
+        feed(e, cid, np.zeros(reps, dtype=np.int64), np.full(reps, n))
         return e
 
     def test_message_probability(self):
@@ -194,10 +202,10 @@ class TestStatisticalGuarantees:
         C, eps, k, trials = 1200, 0.4, 4, 100
         ests = []
         for t in range(trials):
-            e = BatchCounterEngine(np.array([eps]), k, seed=1000 + t)
+            e = batch_engine(np.array([eps]), k, seed=1000 + t)
             sites = np.random.default_rng(t).integers(0, k, C)
             for s in sites:
-                e.update(np.array([0]), np.array([s]), np.array([1]))
+                feed(e, np.array([0]), np.array([s]), np.array([1]))
             ests.append(e.estimates()[0])
         ests = np.array(ests)
         se = ests.std() / np.sqrt(trials)
@@ -210,13 +218,13 @@ class TestStatisticalGuarantees:
         eps, k = 0.2, 4
         errs = []
         for t in range(40):
-            e = BatchCounterEngine(np.array([eps]), k, seed=t)
+            e = batch_engine(np.array([eps]), k, seed=t)
             total, size = 0, 64
             while total < 40_000:
                 b = min(size, 40_000 - total)
                 per = np.full(k, b // k)
                 per[: b % k] += 1
-                e.update(np.zeros(k, dtype=np.int64), np.arange(k), per)
+                feed(e, np.zeros(k, dtype=np.int64), np.arange(k), per)
                 total += b
                 size *= 2
             errs.append(abs(e.estimates()[0] - 40_000) / 40_000)
@@ -226,11 +234,11 @@ class TestStatisticalGuarantees:
     def test_message_cost_logarithmic(self):
         """10x the stream, much less than 10x the messages."""
         def msgs(C, seed=5):
-            e = BatchCounterEngine(np.array([0.3]), 4, seed=seed)
+            e = batch_engine(np.array([0.3]), 4, seed=seed)
             total, size = 0, 64
             while total < C:
                 b = min(size, C - total)
-                e.update(np.array([0]), np.array([total % 4]), np.array([b]))
+                feed(e, np.array([0]), np.array([total % 4]), np.array([b]))
                 total += b
                 size *= 2
             return e.total_messages
@@ -239,9 +247,9 @@ class TestStatisticalGuarantees:
 
     def test_tighter_eps_more_messages_batched(self):
         def msgs(eps):
-            e = BatchCounterEngine(np.array([eps]), 4, seed=8)
+            e = batch_engine(np.array([eps]), 4, seed=8)
             for _ in range(20):
-                e.update(np.array([0]), np.array([0]), np.array([2000]))
+                feed(e, np.array([0]), np.array([0]), np.array([2000]))
             return e.total_messages
 
         assert msgs(0.02) > msgs(0.5)
@@ -253,18 +261,18 @@ class ReferenceEngine(BatchCounterEngine):
     term for every counter. As in ``SeqDistCounter``, a ``p == 1`` row
     draws nothing and reports all ``n`` increments; ``p < 1`` rows draw a
     uniform each, then a binomial each where there is a message, in row
-    order. Same state, same generator calls."""
+    order. ``r`` and ``rep`` are kept for every counter, so ``r == f``
+    wherever ``p == 1``. Same generator calls."""
 
     def update(self, cid, sid, n):
+        self.batches = self.ledger.take(self.batches)
         cid = np.asarray(cid, dtype=np.int64)
         sid = np.asarray(sid, dtype=np.int64)
         n = np.asarray(n, dtype=np.int64)
         if len(cid) == 0:
             return
-        self._check_pairs(cid, sid)
         p_rows = self.p[cid]
-        fstart = self.f[cid, sid]
-        self.f[cid, sid] = fstart + n
+        fstart = self.ledger.f[cid, sid] - n  # the ledger holds this batch
         thin = np.nonzero(p_rows < 1.0)[0]
         G = np.zeros(len(cid), dtype=np.int64)
         if len(thin):
@@ -289,7 +297,7 @@ class ReferenceEngine(BatchCounterEngine):
         return self.r.sum(axis=1) + self.rep.sum(axis=1) * (1.0 / self.p - 1.0)
 
     def _advance_round(self, adv):
-        fa = self.f[adv]
+        fa = self.ledger.f[adv]
         self.messages[adv] += (fa != self.r[adv]).sum(axis=1)
         self.r[adv] = fa
         self.rep[adv] = False
@@ -305,9 +313,23 @@ class ReferenceEngine(BatchCounterEngine):
         self.round_est[adv] = np.maximum(exact, 1.0)
 
 
+def assert_state_equals_reference(new, ref):
+    """Bit for bit: ``p``, ``round_est``, ``messages``, the estimates and
+    the generator position; ``r`` through its dense view (the ledger's
+    ``f`` where ``p == 1``) and ``rep`` on the counters with ``p < 1``."""
+    for name in ("p", "round_est", "messages"):
+        np.testing.assert_array_equal(getattr(new, name), getattr(ref, name), err_msg=name)
+    np.testing.assert_array_equal(new.estimates(), ref.estimates())
+    dense_r = np.where((new.p == 1.0)[:, None], new.ledger.f, new.r)
+    np.testing.assert_array_equal(dense_r, ref.r)
+    thin = new.p < 1.0
+    np.testing.assert_array_equal(new.rep[thin], ref.rep[thin])
+    assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_state_equals_reference_formulas(seed):
-    """Bit for bit, after every update: the whole state and the generator
+    """Bit for bit, after every update: the state and the generator
     position. Pairs are unique and unsorted, ``n`` mixes 0, 1 and large
     counts, most updates hold rows at ``p == 1`` and below 1, and every
     fourth has a message on every row (only ``p == 1`` rows, ``n >= 1``)."""
@@ -315,8 +337,8 @@ def test_state_equals_reference_formulas(seed):
     nc, k = 60, 7
     # Half the counters get an eps so tight that they stay at p = 1.
     eps = np.where(np.arange(nc) % 2, rng.uniform(0.02, 0.5, nc), 1e-9)
-    new = BatchCounterEngine(eps, k, seed=seed, proto_c=0.3)
-    ref = ReferenceEngine(eps, k, seed=seed, proto_c=0.3)
+    new = batch_engine(eps, k, seed=seed, proto_c=0.3)
+    ref = ReferenceEngine(eps, SiteLedger(nc, k), seed=seed, proto_c=0.3)
     start_p = np.where(rng.random(nc) < 0.5, 1.0, rng.uniform(0.001, 0.99, nc))
     new.p[:] = ref.p[:] = start_p
     sizes = np.array([0, 1, 2, 37, 5000, 3_000_000])
@@ -332,10 +354,8 @@ def test_state_equals_reference_formulas(seed):
             p_rows = new.p[key // k]
             mixed += bool(np.any(p_rows == 1.0) and np.any(p_rows < 1.0))
         for e in (new, ref):
-            e.update(key // k, key % k, n)
-        for name in ("p", "f", "r", "rep", "round_est", "messages"):
-            np.testing.assert_array_equal(getattr(new, name), getattr(ref, name), err_msg=name)
-        assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+            feed(e, key // k, key % k, n)
+        assert_state_equals_reference(new, ref)
     assert mixed >= 20
 
 
@@ -343,16 +363,16 @@ def test_p1_rows_draw_nothing():
     """An update whose rows are all at ``p == 1`` reports every increment
     and leaves the generator where it was."""
     e = single(nc=3, k=4, eps=1e-9)
-    e.update(np.array([0, 0, 2]), np.array([1, 3, 0]), np.array([5, 1, 40]))
+    feed(e, np.array([0, 0, 2]), np.array([1, 3, 0]), np.array([5, 1, 40]))
     state = e.rng.bit_generator.state
     before = e.messages.copy()
     n = np.array([3, 7, 1, 2])
-    e.update(np.array([0, 1, 1, 2]), np.array([1, 0, 2, 0]), n)
+    feed(e, np.array([0, 1, 1, 2]), np.array([1, 0, 2, 0]), n)
     assert np.all(e.p == 1.0)
     assert e.rng.bit_generator.state == state
     np.testing.assert_array_equal(e.messages - before, [3, 8, 2])
-    np.testing.assert_array_equal(e.r, e.f)
-    assert e.f[0, 1] == 8 and e.f[2, 0] == 42
+    np.testing.assert_array_equal(e.estimates(), [9.0, 8.0, 42.0])
+    assert e.ledger.f[0, 1] == 8 and e.ledger.f[2, 0] == 42
 
 
 def test_narrow_triple_equals_int64():
@@ -361,14 +381,15 @@ def test_narrow_triple_equals_int64():
     gt = networks.ground_truth("alarm")
     k = 6
     eps = counter_eps(gt.net, "uniform", 0.1)
-    narrow = BatchCounterEngine(eps, k, seed=4, proto_c=0.1)
-    wide = BatchCounterEngine(eps, k, seed=4, proto_c=0.1)
+    narrow = batch_engine(eps, k, seed=4, proto_c=0.1)
+    wide = batch_engine(eps, k, seed=4, proto_c=0.1)
     for lo, hi in batch_ranges(20_000, first=512):
         cid, sid, n = aggregate_local(gt, lo, hi, k=k, seed=5)
         assert (cid.dtype, sid.dtype) == (np.int32, np.uint8)
-        narrow.update(cid, sid, n)
-        wide.update(cid.astype(np.int64), sid.astype(np.int64), n)
-        for name in ("p", "f", "r", "rep", "round_est", "messages"):
+        feed(narrow, cid, sid, n)
+        feed(wide, cid.astype(np.int64), sid.astype(np.int64), n)
+        np.testing.assert_array_equal(narrow.ledger.f, wide.ledger.f)
+        for name in ("p", "r", "rep", "round_est", "messages"):
             np.testing.assert_array_equal(getattr(narrow, name), getattr(wide, name), err_msg=name)
         assert narrow.rng.bit_generator.state == wide.rng.bit_generator.state
     assert np.any(narrow.p < 1.0)
@@ -397,14 +418,14 @@ class TestAgainstSequentialCounter:
 
     def batched(self):
         sites, reps = self.sites(), self.REPS
-        e = BatchCounterEngine(np.full(reps, self.EPS), self.K, seed=11)
+        e = batch_engine(np.full(reps, self.EPS), self.K, seed=11)
         cid = np.arange(reps)
         edges = [0, 1, 2, 4, 8, 16, self.P1_END, *range(self.P1_END + 1, self.C + 1)]
         for lo, hi in zip(edges[:-1], edges[1:]):
             assert np.all(e.p == 1.0) == (lo < self.P1_END)
             n = np.bincount(sites[lo:hi], minlength=self.K)
             s = np.flatnonzero(n)
-            e.update(np.repeat(cid, len(s)), np.tile(s, reps), np.tile(n[s], reps))
+            feed(e, np.repeat(cid, len(s)), np.tile(s, reps), np.tile(n[s], reps))
         return e.messages, e.estimates()
 
     def sequential(self):
@@ -436,30 +457,27 @@ class TestSiteCountWidth:
 
     def test_state_is_int32(self):
         nc, k = 5, 3
-        e = BatchCounterEngine(np.full(nc, 0.1), k, seed=0)
-        assert e.f.nbytes + e.r.nbytes == 8 * nc * k
+        e = batch_engine(np.full(nc, 0.1), k, seed=0)
+        assert e.ledger.f.nbytes + e.r.nbytes == 8 * nc * k
 
     def test_update_past_limit_raises_and_changes_nothing(self):
-        e = BatchCounterEngine(np.full(3, 0.1), 4, seed=2, proto_c=0.3)
-        e.update(np.array([0, 1]), np.array([1, 2]), np.array([7, SITE_COUNT_MAX - 5]))
-        state = {n: np.copy(getattr(e, n)) for n in ("p", "f", "r", "rep", "round_est", "messages")}
-        rng_state = e.rng.bit_generator.state
+        e = batch_engine(np.full(3, 0.1), 4, seed=2, proto_c=0.3)
+        feed(e, np.array([0, 1]), np.array([1, 2]), np.array([7, SITE_COUNT_MAX - 5]))
+        before = state(e, e.ledger)
         with pytest.raises(ValueError, match="SITE_COUNT_MAX"):
-            e.update(np.array([0, 1]), np.array([0, 2]), np.array([10, 6]))
-        for name, v in state.items():
-            np.testing.assert_array_equal(getattr(e, name), v, err_msg=name)
-        assert e.rng.bit_generator.state == rng_state
-        e.update(np.array([1]), np.array([2]), np.array([5]))  # up to the limit is fine
-        assert e.f[1, 2] == SITE_COUNT_MAX
+            feed(e, np.array([0, 1]), np.array([0, 2]), np.array([10, 6]))
+        assert state(e, e.ledger) == before
+        feed(e, np.array([1]), np.array([2]), np.array([5]))  # up to the limit is fine
+        assert e.ledger.f[1, 2] == SITE_COUNT_MAX
 
     def test_sums_over_sites_pass_int32(self):
         """Every site of counter 0 at the limit: its total is above 2**31
         and estimates and exact counts read it exactly."""
         k = 4
-        e = BatchCounterEngine(np.full(2, 0.1), k, seed=3, proto_c=0.3)
-        e.update(np.zeros(k, dtype=np.int64), np.arange(k), np.full(k, SITE_COUNT_MAX))
+        e = batch_engine(np.full(2, 0.1), k, seed=3, proto_c=0.3)
+        feed(e, np.zeros(k, dtype=np.int64), np.arange(k), np.full(k, SITE_COUNT_MAX))
         total = k * SITE_COUNT_MAX
         assert total > 2**31
-        assert e.exact_counts().tolist() == [total, 0]
+        assert e.ledger.totals.tolist() == [total, 0]
         assert e.estimates().tolist() == [float(total), 0.0]
         assert e.round_est[0] == float(total) and e.p[0] < 1.0

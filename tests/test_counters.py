@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.distmon.counters import ExactCounter, SeqDistCounter
+from repro.distmon.counters import SeqDistCounter
 
 
 def run_counter(eps, k, C, seed, proto_c=1.0):
@@ -12,15 +12,6 @@ def run_counter(eps, k, C, seed, proto_c=1.0):
     for s in sites:
         c.increment(int(s))
     return c
-
-
-class TestExactCounter:
-    def test_one_message_per_increment(self):
-        c = ExactCounter()
-        for _ in range(57):
-            c.increment(0)
-        assert c.count == 57 and c.messages == 57
-        assert c.estimate() == 57.0
 
 
 class TestSeqDistCounter:

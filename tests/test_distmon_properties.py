@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distmon.batch import BatchCounterEngine, ExactCounterEngine
+from repro.distmon.batch import ExactCounterEngine
+from tests.engines import batch_engine, feed
 
 
 @st.composite
@@ -27,35 +28,35 @@ def update_sequences(draw):
     return nc, k, batches
 
 
-def apply(engine, batches):
+def apply(engines, batches):
     for pairs, counts in batches:
         if not pairs:
             continue
         cid = np.array([p[0] for p in pairs], dtype=np.int64)
         sid = np.array([p[1] for p in pairs], dtype=np.int64)
-        engine.update(cid, sid, np.array(counts, dtype=np.int64))
+        feed(engines, cid, sid, np.array(counts, dtype=np.int64))
 
 
 class TestEngineInvariants:
     @given(update_sequences(), st.floats(0.01, 0.9), st.integers(0, 99))
     @settings(max_examples=60, deadline=None)
     def test_exact_counts_conserved(self, seq, eps, seed):
-        """The engine's ground-truth counts always equal the input mass,
+        """The ledger's ground-truth counts always equal the input mass,
         regardless of thinning decisions."""
         nc, k, batches = seq
-        e = BatchCounterEngine(np.full(nc, eps), k, seed=seed)
+        e = batch_engine(np.full(nc, eps), k, seed=seed)
         apply(e, batches)
         truth = np.zeros(nc, dtype=np.int64)
         for pairs, counts in batches:
             for (c, _), n in zip(pairs, counts):
                 truth[c] += n
-        np.testing.assert_array_equal(e.exact_counts(), truth)
+        np.testing.assert_array_equal(e.ledger.totals, truth)
 
     @given(update_sequences(), st.floats(0.01, 0.9), st.integers(0, 99))
     @settings(max_examples=60, deadline=None)
     def test_messages_bounded_by_increments(self, seq, eps, seed):
         nc, k, batches = seq
-        e = BatchCounterEngine(np.full(nc, eps), k, seed=seed)
+        e = batch_engine(np.full(nc, eps), k, seed=seed)
         apply(e, batches)
         total = sum(sum(c) for _, c in batches)
         # Reports <= increments; round syncs add at most one message per
@@ -67,45 +68,52 @@ class TestEngineInvariants:
     @settings(max_examples=40, deadline=None)
     def test_estimates_nonnegative_and_reports_bounded(self, seq, eps, seed):
         nc, k, batches = seq
-        e = BatchCounterEngine(np.full(nc, eps), k, seed=seed)
+        e = batch_engine(np.full(nc, eps), k, seed=seed)
         apply(e, batches)
         assert np.all(e.estimates() >= 0)
-        assert np.all(e.r <= e.f)  # a report never exceeds the true count
+        assert np.all(e.r <= e.ledger.f)  # a report never exceeds the true count
         assert np.all(e.r >= 0)
 
     @given(update_sequences(), st.floats(0.01, 0.9), st.integers(0, 99))
     @settings(max_examples=40, deadline=None)
     def test_p_within_unit_interval(self, seq, eps, seed):
         nc, k, batches = seq
-        e = BatchCounterEngine(np.full(nc, eps), k, seed=seed)
+        e = batch_engine(np.full(nc, eps), k, seed=seed)
         apply(e, batches)
         assert np.all((e.p > 0) & (e.p <= 1.0))
 
     @given(update_sequences(), st.integers(0, 99))
     @settings(max_examples=40, deadline=None)
     def test_matches_exact_engine_mass(self, seq, seed):
+        """EXACTMLE over the same ledger reads the input mass, and its
+        messages are that mass."""
         nc, k, batches = seq
-        a = BatchCounterEngine(np.full(nc, 0.2), k, seed=seed)
-        b = ExactCounterEngine(nc)
-        apply(a, batches)
-        apply(b, batches)
-        np.testing.assert_array_equal(a.exact_counts(), b.counts)
+        a = batch_engine(np.full(nc, 0.2), k, seed=seed)
+        b = ExactCounterEngine(a.ledger)
+        apply([a, b], batches)
+        truth = np.zeros(nc)
+        for pairs, counts in batches:
+            for (c, _), n in zip(pairs, counts):
+                truth[c] += n
+        np.testing.assert_array_equal(b.estimates(), truth)
+        assert b.total_messages == sum(sum(c) for _, c in batches)
 
     @given(update_sequences(), st.floats(0.01, 0.9), st.integers(0, 99), st.data())
     @settings(max_examples=60, deadline=None)
     def test_counters_at_p1_have_reported_everything(self, seq, eps, seed, data):
-        """After every update a counter with ``p == 1`` has ``r == f`` at
-        every site: ``p`` never rises, so such a counter has reported every
-        increment. The engine skips its re-sync on this."""
+        """After every update a counter with ``p == 1`` has reported every
+        increment (``p`` never rises): its estimate and its messages are
+        its exact count. The engine keeps no ``r`` for it on this."""
         nc, k, batches = seq
-        e = BatchCounterEngine(np.full(nc, eps), k, seed=seed)
+        e = batch_engine(np.full(nc, eps), k, seed=seed)
         e.p[:] = data.draw(
             st.lists(st.one_of(st.just(1.0), st.floats(0.01, 0.99)), min_size=nc, max_size=nc)
         )
         for batch in batches:
             apply(e, [batch])
             at1 = e.p == 1.0
-            np.testing.assert_array_equal(e.r[at1], e.f[at1])
+            np.testing.assert_array_equal(e.estimates()[at1], e.ledger.totals[at1])
+            np.testing.assert_array_equal(e.messages[at1], e.ledger.totals[at1])
 
     @given(update_sequences(), st.floats(0.01, 0.9))
     @settings(max_examples=30, deadline=None)
@@ -113,7 +121,7 @@ class TestEngineInvariants:
         nc, k, batches = seq
         runs = []
         for _ in range(2):
-            e = BatchCounterEngine(np.full(nc, eps), k, seed=12345)
+            e = batch_engine(np.full(nc, eps), k, seed=12345)
             apply(e, batches)
             runs.append((e.total_messages, e.estimates().copy()))
         assert runs[0][0] == runs[1][0]

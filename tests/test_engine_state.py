@@ -1,7 +1,7 @@
 """The batch engine's state is the sequential reference's: the estimate
-and the message total are derived from ``(p, f, r, rep, round_est,
-messages)``. These tests pin its fixed-seed output and the invariant the
-all-counter round check relies on."""
+and the message total are derived from ``(p, r, rep, round_est,
+messages)`` and the ledger's ``f``. These tests pin its fixed-seed output
+and the invariant the all-counter round check relies on."""
 import hashlib
 
 import numpy as np
@@ -10,8 +10,8 @@ import pytest
 from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
 from repro.core.learner import ALGORITHMS, train_many
-from repro.distmon.batch import BatchCounterEngine
 from repro.experiments import ALGOS
+from tests.engines import batch_engine, feed
 
 
 def digest(res) -> str:
@@ -61,12 +61,12 @@ def test_estimates_stay_below_round_line(seed, force_p):
     exactly the ones this update pushed over."""
     rng = np.random.default_rng(seed)
     nc, k = 50, 6
-    e = BatchCounterEngine(rng.uniform(0.01, 0.5, nc), k, seed=seed, proto_c=0.3)
+    e = batch_engine(rng.uniform(0.01, 0.5, nc), k, seed=seed, proto_c=0.3)
     if force_p:
         e.p[:] = rng.uniform(0.05, 1.0, nc)
     for _ in range(40):
         rows = int(rng.integers(1, nc * k))
         key = rng.choice(nc * k, size=rows, replace=False)  # unique, unsorted
-        e.update(key // k, key % k, rng.integers(1, 60, rows))
+        feed(e, key // k, key % k, rng.integers(1, 60, rows))
         assert np.all(e.estimates() < 2.0 * e.round_est)
     assert np.any(e.p < 1.0)

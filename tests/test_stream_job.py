@@ -117,4 +117,4 @@ class TestInputChecks:
         n = gt.net.n_counters
         StreamJob(spark, gt, [(0, 10)], k=(2**31 - 1) // n, seed=1)
         with pytest.raises(ValueError, match="int32"):
-            aggregate_generated(spark, gt, 0, 10, k=-(-(2**31) // n), seed=1)
+            StreamJob(spark, gt, [(0, 10)], k=-(-(2**31) // n), seed=1)
