@@ -16,8 +16,9 @@ Two implementations with identical semantics:
   counts, exact-in-distribution (suffix-geometric decomposition). The
   sites' true counts live once, in a :class:`SiteLedger` shared by every
   engine; an approximate engine keeps the reference's coordinator state,
-  one row per counter, and reads a ``p = 1`` counter's estimate off the
-  ledger. EXACTMLE's engine is a view of the ledger.
+  with ``r`` and ``rep`` only in slots for its ``p < 1`` counters, and
+  reads a ``p = 1`` counter's estimate and messages off the ledger.
+  EXACTMLE's engine is a view of the ledger.
 """
 from repro.distmon.counters import SeqDistCounter
 from repro.distmon.batch import BatchCounterEngine, ExactCounterEngine, SiteLedger

@@ -108,13 +108,18 @@ class BatchCounterEngine:
     """All approximate counters of one algorithm, batched.
 
     The state is :class:`~repro.distmon.counters.SeqDistCounter`'s
-    coordinator side, one row per counter: ``p``, ``r`` (int32), ``rep``,
-    ``round_est`` and ``messages``; ``f`` is the ledger's. ``p`` never
-    rises, so a ``p == 1`` counter has ``r == f`` and its estimate is the
-    ledger's total: ``r`` and ``rep`` are used only where ``p < 1``, and
-    a round advance, which may lower ``p``, sets ``r = f``. Only rows
-    with ``p < 1`` draw from the protocol generator ``rng``: a uniform
-    each, then a binomial each where there is a message, in row order.
+    coordinator side: ``p`` and ``round_est`` per counter, ``r`` (int32)
+    and ``rep`` per thin slot, and a message ``delta``; ``f`` is the
+    ledger's. ``p`` never rises, so a ``p == 1`` counter has ``r == f``,
+    its estimate is the ledger's total and its messages are that total.
+    Only a counter with ``p < 1`` has a slot: ``slot`` maps counters to
+    rows of ``r`` and ``rep`` (-1 where ``p == 1``) and ``ids`` maps them
+    back. A round advance that lowers ``p`` below 1 gives the counter a
+    slot with ``r = f`` and no report. Messages are ``charged`` (every
+    ``n`` taken) plus ``delta``, what the ``p < 1`` rows and the re-syncs
+    add to that. Only rows with ``p < 1`` draw from the protocol
+    generator ``rng``: a uniform each, then a binomial each where there
+    is a message, in row order.
 
     Parameters
     ----------
@@ -153,14 +158,27 @@ class BatchCounterEngine:
         self.batches = 0
         self.rng = np.random.default_rng([seed, 0xD15C])
         self.p = np.ones(self.nc, dtype=np.float64)
-        self.r = np.zeros((self.nc, self.k), dtype=np.int32)  # synced/reported
-        self.rep = np.zeros((self.nc, self.k), dtype=bool)  # reported this round
         self.round_est = np.ones(self.nc, dtype=np.float64)
-        self.messages = np.zeros(self.nc, dtype=np.int64)
+        self.slot = np.full(self.nc, -1, dtype=np.int32)  # counter -> row of r, rep
+        self.ids = np.zeros(0, dtype=np.int32)  # row of r, rep -> counter
+        self.r = np.zeros((0, self.k), dtype=np.int32)  # synced/reported
+        self.rep = np.zeros((0, self.k), dtype=bool)  # reported this round
+        #: Every ``n`` taken, as if each increment were a message.
+        self.charged = 0
+        #: Per counter: messages minus increments taken.
+        self.delta = np.zeros(self.nc, dtype=np.int64)
 
     @property
     def total_messages(self) -> int:
-        return int(self.messages.sum())
+        """Moves only inside ``update``, although the ledger's totals move
+        in ``add`` before it."""
+        return self.charged + int(self.delta.sum())
+
+    @property
+    def messages(self) -> np.ndarray:
+        """Messages per counter, once the engine has taken the ledger's
+        last batch."""
+        return self.ledger.totals[: self.nc] + self.delta
 
     def update(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
         """Apply the micro-batch ``(cid, sid, n)`` the ledger has just checked
@@ -173,13 +191,13 @@ class BatchCounterEngine:
 
         # At p == 1 every increment reports and nothing is drawn, as in
         # ``SeqDistCounter.increment``: n messages, and ``r == f`` holds
-        # without a write. Every row is first charged so; the p < 1 rows
+        # without a slot. Every row is first charged so; the p < 1 rows
         # then draw, in row order, a uniform for the trailing-failure
         # geometric G, capped at n ("no message", which also maps u = 0,
         # G = inf, there), and a binomial for the messages before the
         # last where there is one.
-        np.add.at(self.messages, cid, n)
-        thin = np.flatnonzero((self.p < 1.0)[cid])
+        self.charged += int(n.sum())
+        thin = np.flatnonzero((self.slot >= 0)[cid])
         if len(thin):
             ct, nt = cid[thin], n[thin]
             pt = self.p[ct]
@@ -191,12 +209,15 @@ class BatchCounterEngine:
             h = np.flatnonzero(L)
             if len(h):
                 M[h] = self.rng.binomial(L[h] - 1, pt[h]) + 1
-            np.add.at(self.messages, ct, M - nt)
+            np.add.at(self.delta, ct, M - nt)
             # The ledger's f already holds this batch, so f - n is the
             # local count before it.
-            key = np.multiply(ct[h], self.k, dtype=np.int64)
-            key += sid[thin[h]]
-            self.r.reshape(-1)[key] = self.ledger.f.reshape(-1)[key] - nt[h] + L[h]
+            sh = sid[thin[h]]
+            fkey = np.multiply(ct[h], self.k, dtype=np.int64)
+            fkey += sh
+            key = np.multiply(self.slot[ct[h]], self.k, dtype=np.int64)
+            key += sh
+            self.r.reshape(-1)[key] = self.ledger.f.reshape(-1)[fkey] - nt[h] + L[h]
             self.rep.reshape(-1)[key] = True
 
         # Coordinator: advance rounds (sync + lower p) where the estimate
@@ -214,23 +235,24 @@ class BatchCounterEngine:
         ``SeqDistCounter.estimate`` (>= 0; the integer sums are below
         2**53, so float64 holds them exactly)."""
         est = self.ledger.totals[: self.nc].astype(np.float64)
-        thin = np.flatnonzero(self.p < 1.0)
-        rsum = self.r[thin].sum(axis=1, dtype=np.int64)
-        est[thin] = rsum + self.rep[thin].sum(axis=1) * (1.0 / self.p[thin] - 1.0)
+        rsum = self.r.sum(axis=1, dtype=np.int64)
+        est[self.ids] = rsum + self.rep.sum(axis=1) * (1.0 / self.p[self.ids] - 1.0)
         return est
 
     def _advance_round(self, adv: np.ndarray) -> None:
         """Exact re-sync of stale sites + reporting-probability drop.
 
         Only counters already at ``p < 1`` can have stale sites, so only
-        they send sync messages; every advanced counter's ``r`` becomes
-        ``f``, since its ``p`` may drop below 1 here.
+        their slots send sync messages and become ``f``; a counter whose
+        ``p`` drops below 1 here gets a slot.
         """
         f = self.ledger.f
-        thin = adv[self.p[adv] < 1.0]
-        self.messages[thin] += (f[thin] != self.r[thin]).sum(axis=1)  # ids unique
-        self.r[adv] = f[adv]
-        self.rep[adv] = False
+        s = self.slot[adv]
+        old = s >= 0
+        ao, so = adv[old], s[old]
+        self.delta[ao] += (f[ao] != self.r[so]).sum(axis=1)  # ids unique
+        self.r[so] = f[ao]
+        self.rep[so] = False
         exact = self.ledger.totals[adv].astype(np.float64)
         self.p[adv] = np.clip(
             np.minimum(
@@ -241,6 +263,18 @@ class BatchCounterEngine:
             1.0,
         )
         self.round_est[adv] = np.maximum(exact, 1.0)
+        new = adv[~old]
+        self._add_slots(new[self.p[new] < 1.0])
+
+    def _add_slots(self, new: np.ndarray) -> None:
+        """Give each counter in ``new`` (ascending, now at ``p < 1``, with
+        no slot) a slot: ``r = f``, by the ``p == 1`` invariant, and no
+        report this round."""
+        if len(new):
+            self.slot[new] = np.arange(len(self.ids), len(self.ids) + len(new))
+            self.ids = np.concatenate([self.ids, new.astype(np.int32)])
+            self.r = np.concatenate([self.r, self.ledger.f[new]])
+            self.rep = np.concatenate([self.rep, np.zeros((len(new), self.k), dtype=bool)])
 
     def estimates(self) -> np.ndarray:
         """Current coordinator-side estimates of all counters."""

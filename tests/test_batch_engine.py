@@ -14,7 +14,7 @@ from repro.distmon.batch import (
 from repro.distmon.counters import SeqDistCounter
 from repro.stream.aggregate import aggregate_local
 from repro.stream.events import batch_ranges
-from tests.engines import batch_engine, feed, state
+from tests.engines import batch_engine, feed, force_p, state
 
 
 def single(eps=0.3, k=4, seed=0, proto_c=1.0, nc=1):
@@ -71,7 +71,7 @@ class TestEngineBasics:
 
     def test_p1_batch_reports_final_value(self):
         e = single(eps=1e-9)  # threshold astronomically large -> p == 1
-        e.p[:] = 1.0
+        force_p(e, 1.0)
         feed(e, np.array([0]), np.array([2]), np.array([100]))
         assert e.total_messages == 100
         assert e.ledger.f[0, 2] == 100
@@ -143,7 +143,7 @@ class TestGeometricDraw:
                 raise AssertionError("no message, so no binomial draw")
 
         e = single(nc=2, k=1)
-        e.p[:] = 0.5
+        force_p(e, 0.5)
         e.round_est[:] = 1e18  # freeze rounds: test the batch kernel alone
         e.rng = ZeroUniforms()
         feed(e, np.array([0, 1]), np.array([0, 0]), np.array([1, 7]))
@@ -159,7 +159,7 @@ class TestDecompositionExactness:
 
     def run_many(self, n, p, reps=40_000, seed=1):
         e = batch_engine(np.full(reps, 0.5), k=1, seed=seed)
-        e.p[:] = p  # force the reporting probability under test
+        force_p(e, p)  # the reporting probability under test
         e.round_est[:] = 1e18  # freeze rounds: test the batch kernel alone
         cid = np.arange(reps)
         feed(e, cid, np.zeros(reps, dtype=np.int64), np.full(reps, n))
@@ -186,7 +186,7 @@ class TestDecompositionExactness:
         per-item Bernoulli simulation."""
         n, p, reps = 15, 0.2, 40_000
         e = self.run_many(n, p, reps=reps, seed=3)
-        rep = e.r[:, 0]
+        rep = e.r[e.slot, 0]
         got = rep[e.messages > 0].mean()
         rng = np.random.default_rng(9)
         draws = rng.random((reps, n)) < p
@@ -261,8 +261,20 @@ class ReferenceEngine(BatchCounterEngine):
     term for every counter. As in ``SeqDistCounter``, a ``p == 1`` row
     draws nothing and reports all ``n`` increments; ``p < 1`` rows draw a
     uniform each, then a binomial each where there is a message, in row
-    order. ``r`` and ``rep`` are kept for every counter, so ``r == f``
-    wherever ``p == 1``. Same generator calls."""
+    order. ``r``, ``rep`` and ``messages`` are kept for every counter, so
+    ``r == f`` wherever ``p == 1``. Same generator calls."""
+
+    messages = None  # a plain attribute here, not the engine's derived view
+
+    def __init__(self, eps, ledger, **kwargs):
+        super().__init__(eps, ledger, **kwargs)
+        self.r = np.zeros((self.nc, self.k), dtype=np.int32)
+        self.rep = np.zeros((self.nc, self.k), dtype=bool)
+        self.messages = np.zeros(self.nc, dtype=np.int64)
+
+    @property
+    def total_messages(self):
+        return int(self.messages.sum())
 
     def update(self, cid, sid, n):
         self.batches = self.ledger.take(self.batches)
@@ -314,16 +326,18 @@ class ReferenceEngine(BatchCounterEngine):
 
 
 def assert_state_equals_reference(new, ref):
-    """Bit for bit: ``p``, ``round_est``, ``messages``, the estimates and
-    the generator position; ``r`` through its dense view (the ledger's
-    ``f`` where ``p == 1``) and ``rep`` on the counters with ``p < 1``."""
-    for name in ("p", "round_est", "messages"):
+    """Bit for bit: ``p``, ``round_est``, per-counter and total messages,
+    the estimates and the generator position; ``r`` through its dense
+    view built from the slots (the ledger's ``f`` where ``p == 1``) and
+    ``rep`` on the counters with ``p < 1``, which are the slotted ones."""
+    for name in ("p", "round_est", "messages", "total_messages"):
         np.testing.assert_array_equal(getattr(new, name), getattr(ref, name), err_msg=name)
     np.testing.assert_array_equal(new.estimates(), ref.estimates())
-    dense_r = np.where((new.p == 1.0)[:, None], new.ledger.f, new.r)
+    np.testing.assert_array_equal(np.sort(new.ids), np.flatnonzero(new.p < 1.0))
+    dense_r = new.ledger.f.copy()
+    dense_r[new.ids] = new.r
     np.testing.assert_array_equal(dense_r, ref.r)
-    thin = new.p < 1.0
-    np.testing.assert_array_equal(new.rep[thin], ref.rep[thin])
+    np.testing.assert_array_equal(new.rep, ref.rep[new.ids])
     assert new.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
@@ -340,7 +354,8 @@ def test_state_equals_reference_formulas(seed):
     new = batch_engine(eps, k, seed=seed, proto_c=0.3)
     ref = ReferenceEngine(eps, SiteLedger(nc, k), seed=seed, proto_c=0.3)
     start_p = np.where(rng.random(nc) < 0.5, 1.0, rng.uniform(0.001, 0.99, nc))
-    new.p[:] = ref.p[:] = start_p
+    force_p(new, start_p)
+    ref.p[:] = start_p
     sizes = np.array([0, 1, 2, 37, 5000, 3_000_000])
     mixed = 0
     for step in range(40):
@@ -375,6 +390,32 @@ def test_p1_rows_draw_nothing():
     assert e.ledger.f[0, 1] == 8 and e.ledger.f[2, 0] == 42
 
 
+def test_total_messages_move_only_in_update():
+    """A tracer reads each engine's ``total_messages`` around its
+    ``update``: the ledger's ``add`` alone leaves it unchanged, so the
+    per-update differences, round re-syncs included, sum to the total."""
+    gt = networks.ground_truth("alarm")
+    k = 6
+    ledger = SiteLedger(gt.net.n_counters, k)
+    engines = [
+        BatchCounterEngine(counter_eps(gt.net, algo, 0.1), ledger, seed=j, proto_c=0.1)
+        for j, algo in enumerate(["baseline", "uniform", "nonuniform"])
+    ]
+    summed = [0] * len(engines)
+    for lo, hi in batch_ranges(20_000, first=512):
+        batch = aggregate_local(gt, lo, hi, k=k, seed=5)
+        before = [e.total_messages for e in engines]
+        ledger.add(*batch)
+        assert [e.total_messages for e in engines] == before
+        for j, e in enumerate(engines):
+            e.update(*batch)
+            summed[j] += e.total_messages - before[j]
+    assert summed == [e.total_messages for e in engines]
+    assert summed == [int(e.messages.sum()) for e in engines]
+    assert all(np.any(e.p < 1.0) for e in engines)
+    assert all(summed[j] < ledger.totals.sum() for j in range(len(engines)))
+
+
 def test_narrow_triple_equals_int64():
     """The aggregation's int32 / uint8 ids give the same state, messages
     and generator position, batch by batch, as the same rows in int64."""
@@ -389,7 +430,7 @@ def test_narrow_triple_equals_int64():
         feed(narrow, cid, sid, n)
         feed(wide, cid.astype(np.int64), sid.astype(np.int64), n)
         np.testing.assert_array_equal(narrow.ledger.f, wide.ledger.f)
-        for name in ("p", "r", "rep", "round_est", "messages"):
+        for name in ("p", "slot", "ids", "r", "rep", "round_est", "delta", "charged"):
             np.testing.assert_array_equal(getattr(narrow, name), getattr(wide, name), err_msg=name)
         assert narrow.rng.bit_generator.state == wide.rng.bit_generator.state
     assert np.any(narrow.p < 1.0)
@@ -456,9 +497,15 @@ class TestSiteCountWidth:
     int64."""
 
     def test_state_is_int32(self):
+        """``f`` has a row per counter, ``r`` and ``rep`` one per counter
+        with ``p < 1``."""
         nc, k = 5, 3
         e = batch_engine(np.full(nc, 0.1), k, seed=0)
-        assert e.ledger.f.nbytes + e.r.nbytes == 8 * nc * k
+        feed(e, np.arange(nc), np.zeros(nc, dtype=np.int64), np.array([1, 900, 2, 5000, 3]))
+        assert e.ledger.f.dtype == e.r.dtype == np.int32
+        assert e.ledger.f.shape == (nc, k)
+        assert e.r.shape == e.rep.shape == (2, k)
+        np.testing.assert_array_equal(e.ids, [1, 3])
 
     def test_update_past_limit_raises_and_changes_nothing(self):
         e = batch_engine(np.full(3, 0.1), 4, seed=2, proto_c=0.3)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distmon.batch import ExactCounterEngine
-from tests.engines import batch_engine, feed
+from tests.engines import batch_engine, feed, force_p
 
 
 @st.composite
@@ -67,12 +67,19 @@ class TestEngineInvariants:
     @given(update_sequences(), st.floats(0.01, 0.9), st.integers(0, 99))
     @settings(max_examples=40, deadline=None)
     def test_estimates_nonnegative_and_reports_bounded(self, seq, eps, seed):
+        """After every update the slots are exactly the counters with
+        ``p < 1``, each slot maps back to its counter, and a slot's
+        reports never exceed its counter's true count."""
         nc, k, batches = seq
         e = batch_engine(np.full(nc, eps), k, seed=seed)
-        apply(e, batches)
-        assert np.all(e.estimates() >= 0)
-        assert np.all(e.r <= e.ledger.f)  # a report never exceeds the true count
-        assert np.all(e.r >= 0)
+        for batch in batches:
+            apply(e, [batch])
+            assert np.all(e.estimates() >= 0)
+            np.testing.assert_array_equal(np.sort(e.ids), np.flatnonzero(e.p < 1.0))
+            np.testing.assert_array_equal(e.slot[e.ids], np.arange(len(e.ids)))
+            assert np.count_nonzero(e.slot == -1) == nc - len(e.ids)
+            assert np.all(e.r <= e.ledger.f[e.ids])
+            assert np.all(e.r >= 0)
 
     @given(update_sequences(), st.floats(0.01, 0.9), st.integers(0, 99))
     @settings(max_examples=40, deadline=None)
@@ -106,8 +113,11 @@ class TestEngineInvariants:
         its exact count. The engine keeps no ``r`` for it on this."""
         nc, k, batches = seq
         e = batch_engine(np.full(nc, eps), k, seed=seed)
-        e.p[:] = data.draw(
-            st.lists(st.one_of(st.just(1.0), st.floats(0.01, 0.99)), min_size=nc, max_size=nc)
+        force_p(
+            e,
+            data.draw(
+                st.lists(st.one_of(st.just(1.0), st.floats(0.01, 0.99)), min_size=nc, max_size=nc)
+            ),
         )
         for batch in batches:
             apply(e, [batch])

@@ -1,7 +1,8 @@
 """The batch engine's state is the sequential reference's: the estimate
-and the message total are derived from ``(p, r, rep, round_est,
-messages)`` and the ledger's ``f``. These tests pin its fixed-seed output
-and the invariant the all-counter round check relies on."""
+and the message total are derived from ``p``, ``round_est``, the thin
+slots' ``r`` and ``rep``, ``charged`` and ``delta``, and the ledger's.
+These tests pin its fixed-seed output and the invariant the all-counter
+round check relies on."""
 import hashlib
 
 import numpy as np
@@ -11,7 +12,7 @@ from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
 from repro.core.learner import ALGORITHMS, train_many
 from repro.experiments import ALGOS
-from tests.engines import batch_engine, feed
+from tests.engines import batch_engine, feed, force_p
 
 
 def digest(res) -> str:
@@ -53,17 +54,17 @@ class TestGolden:
         )
 
 
-@pytest.mark.parametrize("force_p", [False, True])
+@pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_estimates_stay_below_round_line(seed, force_p):
+def test_estimates_stay_below_round_line(seed, forced):
     """After every update no counter's estimate is at or above twice its
     round estimate, so scanning all counters for round advances finds
     exactly the ones this update pushed over."""
     rng = np.random.default_rng(seed)
     nc, k = 50, 6
     e = batch_engine(rng.uniform(0.01, 0.5, nc), k, seed=seed, proto_c=0.3)
-    if force_p:
-        e.p[:] = rng.uniform(0.05, 1.0, nc)
+    if forced:
+        force_p(e, rng.uniform(0.05, 1.0, nc))
     for _ in range(40):
         rows = int(rng.integers(1, nc * k))
         key = rng.choice(nc * k, size=rows, replace=False)  # unique, unsorted

@@ -15,7 +15,7 @@ from repro.distmon.batch import (
     SiteLedger,
 )
 from repro.stream.aggregate import aggregate_local
-from tests.engines import batch_engine, feed, state
+from tests.engines import batch_engine, feed, force_p, state
 
 
 @pytest.mark.parametrize("eps", [1.5, 0.0, float("nan")])
@@ -117,7 +117,7 @@ def test_zero_increments_draw_one_uniform_and_change_nothing():
     uniform, the ``p = 1`` row none, and none sends a message or moves
     the counter."""
     e = batch_engine(np.full(2, 0.1), 3, seed=5)
-    e.p[1] = 0.25
+    force_p(e, [1.0, 0.25])
     ref = batch_engine(np.full(2, 0.1), 3, seed=5).rng
     feed(e, np.array([0, 1, 1]), np.array([2, 0, 1]), np.zeros(3, dtype=np.int64))
     ref.random(2)
