@@ -141,7 +141,7 @@ def synth_network(
     attempts: int = 24,
 ) -> BayesNet:
     """Best-of-``attempts`` seeded network closest to ``target_params``."""
-    best: BayesNet | None = None
+    best: tuple[list[list[int]], np.ndarray] | None = None
     best_err = np.inf
     for a in range(attempts):
         rng = np.random.default_rng([seed, 0xBA7E5, a])
@@ -150,12 +150,12 @@ def synth_network(
         cards = _fit_cards(rng, P, target_params, card_cap)
         err = abs(_params_for_cards(P, cards) - target_params)
         if err < best_err:
-            best = BayesNet(name, parents, cards)
+            best = parents, cards
             best_err = err
         if best_err == 0:
             break
     assert best is not None
-    return best
+    return BayesNet(name, *best)
 
 
 _NET_CACHE: dict[tuple[str, int], BayesNet] = {}

@@ -60,6 +60,11 @@ class BayesNet:
             raise ValueError("cards length must equal number of nodes")
         if np.any(self.cards < 2):
             raise ValueError("every variable needs cardinality >= 2")
+        self._check_parents()
+        self.children = [[] for _ in range(self.n)]
+        for j, ps in enumerate(self.parents):
+            for p in ps:
+                self.children[p].append(j)
         self.topo = self._topological_order()
         # K_i = |dom(par(X_i))| = product of parent cardinalities (1 if root).
         self.K = np.array(
@@ -73,10 +78,6 @@ class BayesNet:
             [[0], np.cumsum(self.K)]
         )
         self.n_counters = int(self.par_offset[-1])
-        self.children = [[] for _ in range(self.n)]
-        for j, ps in enumerate(self.parents):
-            for p in ps:
-                self.children[p].append(j)
         # Mixed-radix strides per parent slot: stride of parents[i][t] is
         # prod(cards[parents[i][:t]]) so x_par_index = sum stride*value.
         self._strides = [
@@ -88,31 +89,30 @@ class BayesNet:
 
     # ---------------------------------------------------------------- DAG
 
-    def _topological_order(self) -> np.ndarray:
-        """Kahn's algorithm; raises if the graph has a cycle."""
-        indeg = np.zeros(self.n, dtype=np.int64)
-        for ps in self.parents:
+    def _check_parents(self) -> None:
+        """Parent ids must be in range, distinct and not the node itself;
+        checked before ``children`` is built, which indexes by them."""
+        for j, ps in enumerate(self.parents):
             if len(set(ps)) != len(ps):
                 raise ValueError("duplicate parent")
-        for j, ps in enumerate(self.parents):
             for p in ps:
                 if not (0 <= p < self.n):
                     raise ValueError(f"parent id {p} out of range")
                 if p == j:
                     raise ValueError("self loop")
-            indeg[j] = len(ps)
-        order: list[int] = [int(i) for i in np.nonzero(indeg == 0)[0]]
-        seen = len(order)
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for c in [j for j, ps in enumerate(self.parents) if u in ps]:
+
+    def _topological_order(self) -> np.ndarray:
+        """Kahn's algorithm over ``children`` (each list in ascending id
+        order, so sampling's draw order is fixed); raises if the graph
+        has a cycle."""
+        indeg = [len(ps) for ps in self.parents]
+        order = [j for j in range(self.n) if indeg[j] == 0]
+        for u in order:  # grows while it is walked
+            for c in self.children[u]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     order.append(c)
-                    seen += 1
-        if seen != self.n:
+        if len(order) != self.n:
             raise ValueError("graph has a cycle")
         return np.array(order, dtype=np.int64)
 

@@ -83,6 +83,8 @@ def naive_bayes_eps(net: BayesNet, eps: float) -> np.ndarray:
     """
     if any(p != [0] for p in net.parents[1:]) or net.parents[0]:
         raise ValueError("naive_bayes_eps requires root-0 naive-Bayes structure")
+    if net.n < 2:
+        raise ValueError("naive_bayes_eps requires at least one leaf")
     _check_eps(eps)
     n = net.n
     J = net.cards.astype(np.float64)

@@ -41,7 +41,7 @@ ALGORITHMS: dict[str, Algorithm] = {
     "uniform": Algorithm(lambda net, eps: counter_eps(net, "uniform", eps)),
     "nonuniform": Algorithm(lambda net, eps: counter_eps(net, "nonuniform", eps)),
     "nb-shared": Algorithm(
-        lambda net, eps: naive_bayes_eps(net, eps)[: net.par_offset[min(2, net.n)]],
+        lambda net, eps: naive_bayes_eps(net, eps)[: net.par_offset[2]],
         shared_parents=True,
     ),
 }

@@ -1,11 +1,12 @@
 """Experiment harness: reproduces every table of the evaluation section
 (and the figure-shaped supplementary sweeps), holds the full-scale sweep
 parameters, and is the one renderer of EXPERIMENTS.md: one function per
-section, and every job prints the sections of the results it computes.
+section. :data:`RUNS` says how each section of the report is computed;
+``jobs/run_all.py`` runs every section, or the named ones.
 
 The paper's reference numbers are embedded here so the rendered report
 shows *paper vs measured* side by side. Configuration comes from env
-vars, one knob set for every job:
+vars, one knob set for every section:
 
 =================  ========  =====================================
 env var            default   meaning
@@ -36,8 +37,7 @@ ALGOS = [a for a, spec in ALGORITHMS.items() if not spec.shared_parents]
 APPROX = [a for a in ALGOS if a != "exact"]
 NETWORKS = ["alarm", "hepar2", "link", "munin"]
 
-# Full-scale sweeps of the supplementary figure tables: what
-# jobs/run_all.py runs, and each figure job's defaults.
+# Full-scale sweeps of the supplementary figure tables, read by RUNS.
 FIG9_NETWORK, FIG9_M = "alarm", 1_000_000
 FIG5_NETWORK, FIG5_M = "hepar2", 500_000
 FIG10_NETWORK, FIG10_EPS = "hepar2", [0.02, 0.05, 0.1, 0.2, 0.4]
@@ -83,6 +83,11 @@ class Config:
     seed: int = field(default_factory=_env("REPRO_SEED", 7, int))
     proto_c: float = field(default_factory=_env("REPRO_PROTO_C", 0.1, float))
     first_batch: int = 1024
+
+    def __post_init__(self) -> None:
+        # Every error rate is a share of the test events.
+        if self.n_tests < 1:
+            raise ValueError(f"REPRO_TESTS must be at least 1, got {self.n_tests}")
 
 
 def get_spark():
@@ -230,7 +235,7 @@ def new_alarm_comm(spark, m: int, cfg: Config) -> dict:
 # ------------------------------------------------------------ reporting
 # One function per report section, each ``(results, cfg) -> markdown``.
 # EXPERIMENTS.md is the header plus every section whose results key is
-# present; each job prints the sections of the results it computed.
+# present; running only some sections prints the sections of their results.
 
 
 def save_json(path: str, obj) -> None:
@@ -556,6 +561,23 @@ SECTIONS = [
     ("fig9", render_fig9), ("fig5", render_fig5), ("fig10", render_fig10),
     ("fig11a", render_fig11a), ("fig11b", render_fig11b),
 ]
+
+
+#: Each section of ``jobs/run_all.py``, in report order: ``cfg -> {results
+#: key: value}`` with its runner, sweep parameters and path (Spark or
+#: driver), all looked up when it runs; only Spark sections start a session.
+RUNS = {
+    "table1": lambda cfg: {"table1": table1_rows()},
+    "tables23": lambda cfg: {"tables23": run_tables23(get_spark(), cfg, NETWORKS)},
+    "fig9": lambda cfg: {"fig9_network": FIG9_NETWORK,
+                         "fig9": comm_vs_m(get_spark(), FIG9_NETWORK, FIG9_M, cfg)},
+    "fig5": lambda cfg: {"fig5_network": FIG5_NETWORK,
+                         "fig5": error_vs_m(get_spark(), FIG5_NETWORK, FIG5_M, cfg)},
+    "fig10": lambda cfg: {"fig10_network": FIG10_NETWORK,
+                          "fig10": error_vs_eps(FIG10_NETWORK, FIG10_EPS, cfg)},
+    "fig11": lambda cfg: {"fig11a": comm_vs_k(FIG11A_NETWORK, FIG11A_K, cfg),
+                          "fig11b": new_alarm_comm(get_spark(), FIG11B_M, cfg)},
+}
 
 
 def render_sections(r: dict, cfg: Config) -> str:

@@ -34,6 +34,14 @@ class TestConfig:
         cfg = ex.Config()
         assert cfg.m == 1234 and cfg.proto_c == 0.5
 
+    @pytest.mark.parametrize("n_tests", ["0", "-3"])
+    def test_rejects_no_test_events(self, monkeypatch, n_tests):
+        """Every error rate is a share of the test events: an empty test
+        set is refused when the config is built, not after training."""
+        monkeypatch.setenv("REPRO_TESTS", n_tests)
+        with pytest.raises(ValueError, match="REPRO_TESTS"):
+            ex.Config()
+
 
 class TestPaperConstants:
     def test_table3_exact_is_2mn(self):

@@ -24,6 +24,14 @@ def test_naive_bayes_eps_range(eps):
         budget.naive_bayes_eps(networks.naive_bayes(5, 3, 2), eps)
 
 
+def test_nb_shared_rejects_network_without_leaf():
+    """Algorithm 4 shares the leaves' parent counters; with no leaf the
+    run is refused before training, not after it."""
+    gt = GroundTruth.random(networks.naive_bayes(1, 3, 2), seed=0)
+    with pytest.raises(ValueError, match="leaf"):
+        train_many(None, gt, ["exact", "nb-shared"], m=2000, k=3, eps=0.1, seed=1)
+
+
 def test_nb_shared_rejects_eps_like_uniform():
     gt = GroundTruth.random(networks.naive_bayes(5, 3, 2), seed=0)
     with pytest.raises(ValueError):

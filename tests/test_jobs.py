@@ -1,9 +1,10 @@
-"""Every jobs/ entrypoint runs and prints its sections of EXPERIMENTS.md.
+"""Every jobs/ entrypoint runs; ``run_all.py <section>`` prints that
+section of EXPERIMENTS.md.
 
-The smoke tests shrink the scale knobs (jobs read them from env);
+The smoke tests shrink the scale knobs (env) and the sweep constants;
 ``get_spark`` resolves to the session-scoped test Spark via
-``getOrCreate``. The stubbed tests replace each job's runners with the
-committed results and check that the job prints exactly the sections
+``getOrCreate``. The stubbed tests replace every runner with the
+committed results and check that each section prints exactly what
 ``render_experiments_md`` gives for them, with the runners called at the
 sweep parameters ``repro.experiments`` declares.
 """
@@ -36,18 +37,22 @@ def tiny_env(monkeypatch):
     monkeypatch.setenv("REPRO_TESTS", "100")
 
 
+def run_sections(*sections):
+    load_job("run_all").main(list(sections))
+
+
 class TestJobEntrypoints:
     def test_table1(self, capsys):
-        load_job("table1_networks").main()
+        run_sections("table1")
         out = capsys.readouterr().out
         assert "ALARM" in out and "MUNIN" in out
         assert "509" in out  # paper param target shown
 
     @staticmethod
     def tables23_sections(capsys, monkeypatch):
-        """The merged tables23 job's output, split at the Table 3 heading."""
-        monkeypatch.setattr(sys, "argv", ["tables23", "alarm"])
-        load_job("tables23").main()
+        """The tables23 section's output, split at the Table 3 heading."""
+        monkeypatch.setattr(ex, "NETWORKS", ["alarm"])
+        run_sections("tables23")
         out = capsys.readouterr().out
         table2, sep, table3 = out.partition("## Table 3")
         assert sep, out
@@ -63,20 +68,21 @@ class TestJobEntrypoints:
         assert "222,000" in table3  # exact = 2 * 3000 * 37
 
     def test_fig9(self, spark, tiny_env, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "argv", ["fig9", "alarm", "5000"])
-        load_job("fig9_comm_vs_m").main()
+        monkeypatch.setattr(ex, "FIG9_NETWORK", "alarm")
+        monkeypatch.setattr(ex, "FIG9_M", 5000)
+        run_sections("fig9")
         out = capsys.readouterr().out
         assert "Figure 9" in out and "x" in out
 
     def test_fig10(self, tiny_env, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "argv", ["fig10", "alarm"])
-        load_job("fig10_error_vs_eps").main()
+        monkeypatch.setattr(ex, "FIG10_NETWORK", "alarm")
+        run_sections("fig10")
         out = capsys.readouterr().out
         assert "Figure 10" in out
 
     def test_fig11(self, spark, tiny_env, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "argv", ["fig11", "4000"])
-        load_job("fig11_comm").main()
+        monkeypatch.setattr(ex, "FIG11B_M", 4000)
+        run_sections("fig11")
         out = capsys.readouterr().out
         assert "Figure 11(a)" in out and "Figure 11(b)" in out
 
@@ -106,42 +112,73 @@ def stub(monkeypatch, name, value, calls):
     monkeypatch.setattr(ex, name, runner)
 
 
-# job, argv, {runner: the results key it fills}, the other results keys
-# the job sets, and {runner: (positional args, keyword args)} it must be
-# called with (Config left out; the Spark session is the stub's None).
+#: Each runner and the results key it fills.
+RUNNERS = {
+    "table1_rows": "table1", "run_tables23": "tables23", "comm_vs_m": "fig9",
+    "error_vs_m": "fig5", "error_vs_eps": "fig10", "comm_vs_k": "fig11a",
+    "new_alarm_comm": "fig11b",
+}
+
+
+@pytest.fixture()
+def calls(committed, monkeypatch):
+    """Every runner stubbed to return its committed results; the dict
+    fills with the arguments of the runners called."""
+    out: dict = {}
+    for name, key in RUNNERS.items():
+        stub(monkeypatch, name, committed[key], out)
+    return out
+
+
+# A label naming what the section shows, its section name, the results
+# keys it sets besides its runners', and {runner: (positional args,
+# keyword args)} it must call (Config left out; the Spark session is the
+# stub's None).
 STUBBED = [
-    ("table1_networks", [], {"table1_rows": "table1"}, {}, {"table1_rows": ((), {})}),
-    ("tables23", [], {"run_tables23": "tables23"}, {},
-     {"run_tables23": ((None, ex.NETWORKS), {})}),
-    ("tables23", ["hepar2", "munin"], {"run_tables23": "tables23"}, {},
-     {"run_tables23": ((None, ["hepar2", "munin"]), {})}),
-    ("fig9_comm_vs_m", [], {"comm_vs_m": "fig9"}, {"fig9_network": ex.FIG9_NETWORK},
+    ("table1_networks", "table1", {}, {"table1_rows": ((), {})}),
+    ("tables23", "tables23", {}, {"run_tables23": ((None, ex.NETWORKS), {})}),
+    ("fig9_comm_vs_m", "fig9", {"fig9_network": ex.FIG9_NETWORK},
      {"comm_vs_m": ((None, ex.FIG9_NETWORK, ex.FIG9_M), {})}),
-    ("fig9_comm_vs_m", ["hepar2", "5000"], {"comm_vs_m": "fig9"}, {"fig9_network": "hepar2"},
-     {"comm_vs_m": ((None, "hepar2", 5000), {})}),
-    ("fig5_error_vs_m", [], {"error_vs_m": "fig5"}, {"fig5_network": ex.FIG5_NETWORK},
+    ("fig5_error_vs_m", "fig5", {"fig5_network": ex.FIG5_NETWORK},
      {"error_vs_m": ((None, ex.FIG5_NETWORK, ex.FIG5_M), {})}),
-    ("fig10_error_vs_eps", [], {"error_vs_eps": "fig10"}, {"fig10_network": ex.FIG10_NETWORK},
+    ("fig10_error_vs_eps", "fig10", {"fig10_network": ex.FIG10_NETWORK},
      {"error_vs_eps": ((ex.FIG10_NETWORK, ex.FIG10_EPS), {})}),
-    ("fig11_comm", [], {"comm_vs_k": "fig11a", "new_alarm_comm": "fig11b"}, {},
+    ("fig11_comm", "fig11", {},
      {"comm_vs_k": ((ex.FIG11A_NETWORK, ex.FIG11A_K), {}),
       "new_alarm_comm": ((None, ex.FIG11B_M), {})}),
 ]
 
 
-@pytest.mark.parametrize(
-    "job, argv, runners, extra, args", STUBBED, ids=["-".join([s[0], *s[1]]) for s in STUBBED]
-)
-def test_job_prints_its_report_sections(job, argv, runners, extra, args, committed,
-                                        monkeypatch, capsys):
-    calls: dict = {}
-    for name, key in runners.items():
-        stub(monkeypatch, name, committed[key], calls)
-    monkeypatch.setattr(sys, "argv", [job, *argv])
-    load_job(job).main()
+@pytest.mark.parametrize("section, extra, args", [s[1:] for s in STUBBED],
+                         ids=[s[0] for s in STUBBED])
+def test_job_prints_its_report_sections(section, extra, args, committed, calls, capsys):
+    run_sections(section)
     out = capsys.readouterr().out
     assert calls == args
-    results = {**{key: committed[key] for key in runners.values()}, **extra}
+    results = {**{RUNNERS[name]: committed[RUNNERS[name]] for name in args}, **extra}
     cfg = ex.Config()
     assert out.startswith("## ")
     assert ex.render_header(cfg) + out == ex.render_experiments_md(results, cfg)
+
+
+def test_unknown_section_exits_before_any_runner(calls, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_sections("table1", "fig99")
+    assert exit_.value.code not in (0, None)
+    assert "fig99" in str(exit_.value.code)
+    assert all(name in str(exit_.value.code) for name in ex.RUNS)
+    assert calls == {}
+    assert capsys.readouterr().out == ""
+
+
+def test_sections_fill_exactly_the_rendered_keys(committed, calls):
+    """Every section fills at least one key the report renders, no two
+    fill the same key, and together they fill every key ``SECTIONS``
+    renders and nothing the committed results lack."""
+    filled = {name: set(run(ex.Config())) for name, run in ex.RUNS.items()}
+    rendered = {key for key, _ in ex.SECTIONS}
+    assert all(keys & rendered for keys in filled.values())
+    union = set().union(*filled.values())
+    assert sum(map(len, filled.values())) == len(union)
+    assert rendered <= union and union == set(committed)
+    assert [s[1] for s in STUBBED] == list(ex.RUNS)

@@ -25,8 +25,9 @@ class TestValidation:
             BayesNet("c3", [[2], [0], [1]], np.array([2, 2, 2]))
 
     def test_bad_parent_id_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            BayesNet("b", [[5]], np.array([2]))
+        for bad in (5, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                BayesNet("b", [[bad]], np.array([2]))
 
     def test_duplicate_parent_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -74,6 +75,24 @@ class TestDerived:
     def test_topo_is_permutation(self):
         net = networks.make("alarm")
         assert sorted(net.topo.tolist()) == list(range(net.n))
+
+    @pytest.mark.parametrize("name", ["alarm", "hepar2", "link", "munin", "new-alarm"])
+    def test_topo_equals_parent_scan_kahn(self, name):
+        """Sampling draws its uniforms in ``topo`` order, so the order is
+        pinned to Kahn's algorithm with each node's children found by
+        scanning every parent list in id order."""
+        net = networks.make(name)
+        indeg = [len(ps) for ps in net.parents]
+        order = [j for j in range(net.n) if indeg[j] == 0]
+        head = 0
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for c in [j for j, ps in enumerate(net.parents) if u in ps]:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    order.append(c)
+        assert net.topo.tolist() == order
 
     def test_topo_parents_first(self):
         net = networks.make("hepar2")
