@@ -1,5 +1,6 @@
-"""Structured Streaming demo: stage the distributed stream as files and
-learn the model with a real streaming query (foreachBatch).
+"""Structured Streaming demo: stage the distributed stream as one parquet
+file per micro-batch (written with pyarrow, no Spark job) and learn the
+model with a real streaming query (foreachBatch).
 
 Usage: spark-submit jobs/streaming_demo.py [network] [m]
 """
@@ -18,7 +19,7 @@ def main() -> None:
     spark = get_spark()
     gt = networks.ground_truth(name)
     d = tempfile.mkdtemp(prefix="repro-stream-")
-    nb = stage_stream(spark, gt, d, m=m, k=cfg.k, seed=cfg.seed)
+    nb = stage_stream(gt, d, m=m, k=cfg.k, seed=cfg.seed)
     print(f"staged {nb} micro-batches under {d}")
     out = run_streaming_learner(
         spark, gt, d, k=cfg.k, eps=cfg.eps,

@@ -2,12 +2,9 @@
 
 The paper assumes a fixed-structure Bayesian network whose parameters
 (CPDs) are learned from a distributed stream. This subpackage provides
-the network structure (DAG + cardinalities + flat counter indexing),
-ground-truth CPDs, vectorized ancestral sampling, and synthetic
-stand-ins for the paper's benchmark networks (Table 1).
+the network structure (``structure``: DAG + cardinalities + flat counter
+indexing), ground-truth CPDs (``cpd``), vectorized ancestral sampling
+(``sampling``), and synthetic stand-ins for the paper's benchmark
+networks (``networks``, Table 1). It re-exports nothing: import the
+submodule.
 """
-from repro.bayesnet.structure import BayesNet
-from repro.bayesnet.cpd import GroundTruth
-from repro.bayesnet import networks, sampling
-
-__all__ = ["BayesNet", "GroundTruth", "networks", "sampling"]

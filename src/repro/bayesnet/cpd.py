@@ -77,43 +77,3 @@ class GroundTruth:
         return self._log_cpds[i][
             np.asarray(pidx, dtype=np.int64), np.asarray(xi, dtype=np.int64)
         ]
-
-    def min_conditional(self) -> float:
-        """Lemma 3's ``lambda``: the smallest conditional probability."""
-        return float(min(t.min() for t in self.cpds))
-
-    def exact_counter_probs(self) -> np.ndarray:
-        """Stationary per-event increment probability of each counter.
-
-        For the family counter ``(i, x_i, x_par)`` this is the marginal
-        ``P[X_i = x_i, par(X_i) = x_par]``; for the parent counter it is
-        ``P[par(X_i) = x_par]``. Computed by forward marginalization in
-        topological order (exact for this use: we only need per-node
-        joint-with-parents marginals). Used by tests to check that the
-        exact Spark-aggregated counts converge to these frequencies.
-        """
-        net = self.net
-        # marg[i] : (J_i,) marginal of X_i; pmarg[i] : (K_i,) marginal of
-        # parent configuration. Parent configs of a node may be dependent
-        # across parents; we approximate the parent-config marginal by the
-        # product of parent marginals, which is exact for trees / forests
-        # (used in tests only on tree-structured nets).
-        marg: list[np.ndarray] = [None] * net.n  # type: ignore[list-item]
-        out = np.zeros(net.n_counters, dtype=np.float64)
-        for i in net.topo:
-            i = int(i)
-            ps = net.parents[i]
-            if ps:
-                pm = np.ones(1)
-                for p in ps:
-                    # order="F" matches the mixed-radix strides: the first
-                    # parent is the fastest-varying digit of x_par_index.
-                    pm = np.outer(pm, marg[p]).ravel(order="F")
-                pmarg = pm
-            else:
-                pmarg = np.ones(1)
-            joint = pmarg[:, None] * self.cpds[i]  # (K_i, J_i)
-            marg[i] = joint.sum(axis=0)
-            out[net.fam_offset[i] : net.fam_offset[i + 1]] = joint.ravel()
-            out[net.par_offset[i] : net.par_offset[i + 1]] = pmarg
-        return out

@@ -125,10 +125,6 @@ class BayesNet:
         """Free parameters, ``sum_i (J_i - 1) * K_i`` — Table 1's metric."""
         return int(np.sum((self.cards - 1) * self.K))
 
-    @property
-    def max_parents(self) -> int:
-        return max((len(p) for p in self.parents), default=0)
-
     # ------------------------------------------------------- counter index
 
     def parent_config_index(self, X: np.ndarray, i: int) -> np.ndarray:

@@ -85,6 +85,10 @@ class Config:
     first_batch: int = 1024
 
     def __post_init__(self) -> None:
+        # Table 3 divides by EXACTMLE's messages, which are 0 without
+        # training events.
+        if self.m < 1:
+            raise ValueError(f"REPRO_M must be at least 1, got {self.m}")
         # Every error rate is a share of the test events.
         if self.n_tests < 1:
             raise ValueError(f"REPRO_TESTS must be at least 1, got {self.n_tests}")
@@ -136,7 +140,7 @@ def evaluate_models(gt, results: dict[str, TrainResult], cfg: Config) -> dict[st
     lp_mle = results["exact"].model.log_prob(Xt) if "exact" in results else None
     out: dict[str, dict] = {}
     for algo, r in results.items():
-        lp = r.model.log_prob(Xt)
+        lp = lp_mle if algo == "exact" else r.model.log_prob(Xt)
         out[algo] = dict(
             messages=int(r.total_messages),
             cls_err=classify.error_rate(r.model, gt.net, Xt, targets),

@@ -42,9 +42,9 @@ def events_pandas(
     """
     X = sample_events(gt, lo, hi, seed=seed)
     sites = sample_sites(lo, hi, k=k, seed=seed)
-    pdf = pd.DataFrame(
-        {"event_id": np.arange(lo, hi, dtype=np.int64), "site": sites.astype(np.int64)}
-    )
-    for i in range(gt.net.n):
-        pdf[f"v{i}"] = X[:, i].astype(np.int64)
-    return pdf
+    X = X.astype(np.int64)
+    return pd.DataFrame({
+        "event_id": np.arange(lo, hi, dtype=np.int64),
+        "site": sites.astype(np.int64),
+        **{f"v{i}": X[:, i] for i in range(gt.net.n)},
+    })

@@ -3,9 +3,10 @@
 The rest of the codebase drives the learner with an explicit micro-batch
 loop (semantically ``foreachBatch``). This module shows the same
 coordinator update running under a real Structured Streaming query: the
-event stream is staged as one parquet file per micro-batch, read with
-``readStream`` (``maxFilesPerTrigger=1`` so Spark's micro-batches align
-with the protocol's), and inside ``foreachBatch`` every micro-batch is
+event stream is staged on the driver as one parquet file per micro-batch,
+written with pandas/pyarrow (no Spark job), read with ``readStream``
+(``maxFilesPerTrigger=1`` so Spark's micro-batches align with the
+protocol's), and inside ``foreachBatch`` every micro-batch is
 aggregated by :func:`~repro.stream.aggregate.aggregate_events_df` and fed
 to the same :class:`~repro.core.learner.Learner`.
 
@@ -16,6 +17,7 @@ batch-loop path's.
 from __future__ import annotations
 
 import os
+import time
 
 from pyspark.sql import SparkSession
 
@@ -26,28 +28,22 @@ from repro.stream.events import batch_ranges, events_pandas
 
 
 def stage_stream(
-    spark: SparkSession, gt: GroundTruth, out_dir: str, *, m: int, k: int, seed: int,
-    first_batch: int = 1024,
+    gt: GroundTruth, out_dir: str, *, m: int, k: int, seed: int, first_batch: int = 1024,
 ) -> int:
     """Write the event stream as one parquet file per micro-batch.
 
-    File names are zero-padded by batch index so lexicographic file
-    order equals stream order. Returns the number of batches staged.
+    File names are zero-padded by batch index and batch ``b``'s
+    modification time is ``t0 + b`` seconds: Spark's file source takes
+    new files in modification-time order, so both orders equal stream
+    order. Returns the number of batches staged.
     """
-    import glob
-    import shutil
-
     ranges = batch_ranges(m, first=first_batch)
     os.makedirs(out_dir, exist_ok=True)
-    stage = os.path.join(out_dir, "_stage")
+    t0 = time.time()
     for b, (lo, hi) in enumerate(ranges):
-        pdf = events_pandas(gt, lo, hi, k=k, seed=seed)
-        spark.createDataFrame(pdf).coalesce(1).write.mode("overwrite").parquet(stage)
-        (part,) = glob.glob(os.path.join(stage, "part-*.parquet"))
-        # Flat files (not partition directories) so the file-stream source
-        # sees plain parquet; sequential writes give ordered mod-times.
-        shutil.move(part, os.path.join(out_dir, f"b{b:05d}.parquet"))
-    shutil.rmtree(stage, ignore_errors=True)
+        path = os.path.join(out_dir, f"b{b:05d}.parquet")
+        events_pandas(gt, lo, hi, k=k, seed=seed).to_parquet(path, index=False)
+        os.utime(path, (t0 + b, t0 + b))
     return len(ranges)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
 from repro.bayesnet.structure import BayesNet
+from tests.networks_props import exact_counter_probs, min_conditional
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ class TestRandomCPDs:
     def test_min_conditional_positive(self, seed):
         net = networks.chain(3, J=3)
         gt = GroundTruth.random(net, seed=seed)
-        assert 0 < gt.min_conditional() <= 1.0 / 3
+        assert 0 < min_conditional(gt) <= 1.0 / 3
 
 
 class TestLogProb:
@@ -97,7 +98,7 @@ class TestExactCounterProbs:
     def test_tree_probs_sum(self):
         net = networks.chain(4, J=3)
         gt = GroundTruth.random(net, seed=2)
-        probs = gt.exact_counter_probs()
+        probs = exact_counter_probs(gt)
         # Each variable's family block is a distribution over (x_i, x_par).
         for i in range(net.n):
             fam = probs[net.fam_offset[i] : net.fam_offset[i + 1]]
@@ -112,7 +113,7 @@ class TestExactCounterProbs:
             [[a, b, c] for a in range(2) for b in range(2) for c in range(2)]
         )
         p = np.exp(gt.log_prob(X))
-        probs = gt.exact_counter_probs()
+        probs = exact_counter_probs(gt)
         # P[X1 = 0, X0 = 0] from enumeration vs family counter of node 1.
         manual = p[(X[:, 1] == 0) & (X[:, 0] == 0)].sum()
         x = np.array([[0, 0, 0]])

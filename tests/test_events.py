@@ -60,3 +60,15 @@ class TestEventsPandas:
         s = sample_sites(10, 60, k=4, seed=2)
         np.testing.assert_array_equal(pdf[["v0", "v1", "v2"]].to_numpy(), X)
         np.testing.assert_array_equal(pdf["site"].to_numpy(), s)
+
+    def test_wide_network_builds_without_warnings(self):
+        """Column-by-column inserts fragment the frame past 100 columns and
+        pandas warns (PerformanceWarning); one construction does not."""
+        import warnings
+
+        gt = GroundTruth.random(networks.chain(120, J=2), seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pdf = events_pandas(gt, 0, 64, k=4, seed=4)
+        assert pdf.shape == (64, 122)
+        assert (pdf.dtypes == np.int64).all()

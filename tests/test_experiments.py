@@ -42,6 +42,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="REPRO_TESTS"):
             ex.Config()
 
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_rejects_no_training_events(self, monkeypatch, m):
+        """Table 3 divides by EXACTMLE's messages: with no training events
+        they are 0, so the config is refused before training."""
+        monkeypatch.setenv("REPRO_M", m)
+        with pytest.raises(ValueError, match="REPRO_M"):
+            ex.Config()
+
 
 class TestPaperConstants:
     def test_table3_exact_is_2mn(self):
@@ -72,6 +80,24 @@ class TestRunners:
             assert 0 <= cell["cls_err"] <= 1
             assert cell["err_gt"] >= 0
         assert out["alarm"]["exact"]["err_mle"] == 0.0
+
+    def test_evaluate_models_scores_each_model_once(self, tiny_cfg, monkeypatch):
+        """EXACTMLE's log-probabilities are both its own score and the
+        reference of every other algorithm's: computed once, not twice."""
+        from repro.core.model import CountModel
+
+        gt = networks.ground_truth("alarm")
+        res = ex._train(None, gt, tiny_cfg)
+        calls: dict[int, int] = {}
+        log_prob = CountModel.log_prob
+
+        def counted(model, X):
+            calls[id(model)] = calls.get(id(model), 0) + 1
+            return log_prob(model, X)
+
+        monkeypatch.setattr(CountModel, "log_prob", counted)
+        ex.evaluate_models(gt, res, tiny_cfg)
+        assert calls == {id(r.model): 1 for r in res.values()}
 
     def test_comm_vs_k_monotone(self, tiny_cfg):
         rows = ex.comm_vs_k("alarm", [2, 20], tiny_cfg)

@@ -10,18 +10,18 @@ from repro.stream.streaming import run_streaming_learner, stage_stream
 
 
 @pytest.fixture(scope="module")
-def staged(spark, tmp_path_factory):
+def staged(tmp_path_factory):
     gt = GroundTruth.random(networks.chain(5, J=3), seed=41)
     d = str(tmp_path_factory.mktemp("stream"))
-    n_batches = stage_stream(spark, gt, d, m=3000, k=4, seed=42, first_batch=512)
+    n_batches = stage_stream(gt, d, m=3000, k=4, seed=42, first_batch=512)
     return gt, d, n_batches
 
 
 @pytest.fixture(scope="module")
-def staged_naive_bayes(spark, tmp_path_factory):
+def staged_naive_bayes(tmp_path_factory):
     gt = GroundTruth.random(networks.naive_bayes(5, J_root=3, J_leaf=2), seed=45)
     d = str(tmp_path_factory.mktemp("stream-nb"))
-    stage_stream(spark, gt, d, m=6000, k=4, seed=46, first_batch=512)
+    stage_stream(gt, d, m=6000, k=4, seed=46, first_batch=512)
     return gt, d
 
 
@@ -33,6 +33,16 @@ class TestStructuredStreaming:
         files = glob.glob(f"{d}/b*.parquet")
         assert len(files) == n_batches
         assert n_batches >= 3
+
+    def test_file_mtimes_follow_batch_index(self, staged):
+        """Spark's file source replays files in modification-time order,
+        so staging must give later batches strictly later mtimes however
+        fast the writes run."""
+        import os
+
+        _, d, n_batches = staged
+        mtimes = [os.stat(f"{d}/b{b:05d}.parquet").st_mtime for b in range(n_batches)]
+        assert all(a < b for a, b in zip(mtimes, mtimes[1:])), mtimes
 
     def test_exact_counts_match_batch_loop(self, spark, staged):
         gt, d, _ = staged

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bayesnet import networks
 from repro.bayesnet.structure import BayesNet
+from tests.networks_props import max_parents
 
 
 def tiny_vee() -> BayesNet:
@@ -64,7 +65,7 @@ class TestDerived:
     def test_chain_topology(self):
         net = networks.chain(5, J=3)
         assert net.n_edges == 4
-        assert net.max_parents == 1
+        assert max_parents(net) == 1
         assert list(net.topo) == [0, 1, 2, 3, 4]
 
     def test_naive_bayes_shape(self):
