@@ -16,13 +16,12 @@ def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "alarm"
     m = int(sys.argv[2]) if len(sys.argv) > 2 else 20_000
     cfg = Config()
-    spark = get_spark()
     gt = networks.ground_truth(name)
     d = tempfile.mkdtemp(prefix="repro-stream-")
     nb = stage_stream(gt, d, m=m, k=cfg.k, seed=cfg.seed)
     print(f"staged {nb} micro-batches under {d}")
     out = run_streaming_learner(
-        spark, gt, d, k=cfg.k, eps=cfg.eps,
+        get_spark(), gt, d, k=cfg.k, eps=cfg.eps,
         algos=["exact", "nonuniform"], seed=cfg.seed, proto_c=cfg.proto_c,
     )
     for algo, res in out.items():

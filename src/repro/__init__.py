@@ -4,6 +4,5 @@
 Subpackages: ``bayesnet`` (network substrate), ``distmon`` (distributed
 counter protocol), ``stream`` (Spark dataflow), ``core`` (the paper's
 algorithms), plus ``experiments`` (table/figure harness, sweep
-parameters and the EXPERIMENTS.md renderer) and ``oracle`` (DuckDB
-result-equality checks).
+parameters and the EXPERIMENTS.md renderer).
 """

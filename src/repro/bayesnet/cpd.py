@@ -25,7 +25,8 @@ class GroundTruth:
     """A BayesNet plus true CPD tables.
 
     ``cpds[i]`` has shape ``(K_i, J_i)``; row ``x_par_index`` is the
-    conditional distribution ``P[X_i | par(X_i) = x_par]``.
+    conditional distribution ``P[X_i | par(X_i) = x_par]``. Queries
+    score it as ``CountModel.from_cpds(net, cpds)``.
     """
 
     net: BayesNet
@@ -54,26 +55,9 @@ class GroundTruth:
         for i, t in enumerate(self.cpds):
             if t.shape != (int(self.net.K[i]), int(self.net.cards[i])):
                 raise ValueError(f"cpd {i} has shape {t.shape}")
-        # Cached log tables for fast scoring.
-        self._log_cpds = [np.log(t) for t in self.cpds]
         #: Sampling's inverse-CDF tables, shape ``(J_i - 1, K_i)``:
         #: ``cum_cpds[i][x, x_par]`` is ``P[X_i <= x | x_par]``.
         self.cum_cpds = [
             np.ascontiguousarray(t.cumsum(axis=1)[:, :-1].T) for t in self.cpds
         ]
 
-    # ------------------------------------------------------------ queries
-
-    def log_prob(self, X: np.ndarray) -> np.ndarray:
-        """Log joint probability of each row of ``X`` under Equation 1."""
-        out = np.zeros(X.shape[0], dtype=np.float64)
-        for i in range(self.net.n):
-            pidx = self.net.parent_config_index(X, i)
-            out += self._log_cpds[i][pidx, X[:, i].astype(np.int64)]
-        return out
-
-    def log_factor(self, i: int, xi: np.ndarray, pidx: np.ndarray) -> np.ndarray:
-        """``log P[X_i = xi | par = pidx]`` vectorized over events."""
-        return self._log_cpds[i][
-            np.asarray(pidx, dtype=np.int64), np.asarray(xi, dtype=np.int64)
-        ]

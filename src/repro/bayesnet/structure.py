@@ -52,6 +52,8 @@ class BayesNet:
     n_family_counters: int = field(init=False)
     n_counters: int = field(init=False)
     children: list[list[int]] = field(init=False)
+    parent_table: np.ndarray = field(init=False)
+    strides: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.cards = np.asarray(self.cards, dtype=np.int64)
@@ -80,12 +82,14 @@ class BayesNet:
         self.n_counters = int(self.par_offset[-1])
         # Mixed-radix strides per parent slot: stride of parents[i][t] is
         # prod(cards[parents[i][:t]]) so x_par_index = sum stride*value.
-        self._strides = [
-            np.concatenate([[1], np.cumprod(self.cards[p][:-1])]).astype(np.int64)
-            if p
-            else np.zeros(0, dtype=np.int64)
-            for p in self.parents
-        ]
+        # Rows are padded to the largest in-degree with parent 0 at
+        # stride 0, which adds nothing.
+        lens = np.array([len(p) for p in self.parents], dtype=np.int64)
+        slot = np.arange(lens.max(initial=0)) < lens[:, None]
+        self.parent_table = np.zeros(slot.shape, dtype=np.int64)
+        self.parent_table[slot] = [p for ps in self.parents for p in ps]
+        c = np.where(slot, self.cards[self.parent_table], 1)
+        self.strides = np.where(slot, np.cumprod(c, axis=1) // c, 0)
 
     # ---------------------------------------------------------------- DAG
 
@@ -133,11 +137,21 @@ class BayesNet:
         ``X`` is an ``(m, n)`` assignment matrix; returns ``(m,)`` int64
         in ``[0, K_i)`` (all zeros for a root node).
         """
-        ps = self.parents[i]
         out = np.zeros(X.shape[0], dtype=np.int64)
         # One parent column at a time: no (m, |par|) gather, exact ints.
-        for p, stride in zip(ps, self._strides[i]):
+        for p, stride in zip(self.parents[i], self.strides[i]):
             out += np.multiply(X[:, p], stride, dtype=np.int64)
+        return out
+
+    def parent_index(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Parent configuration index of variable ``v[r, ...]`` in row
+        ``r`` of ``X``: ``v`` holds one variable id per element, its
+        first axis runs over the rows of ``X``, and the result has its
+        shape."""
+        rows = np.arange(X.shape[0]).reshape(-1, *(1,) * (v.ndim - 1))
+        out = np.zeros(v.shape, dtype=np.int64)
+        for d in range(self.strides.shape[1]):
+            out += np.multiply(X[rows, self.parent_table[v, d]], self.strides[v, d], dtype=np.int64)
         return out
 
     def family_cells(self, i: int, xi: np.ndarray, pidx: np.ndarray) -> np.ndarray:
@@ -150,19 +164,9 @@ class BayesNet:
         self, i: int, xi: np.ndarray, pidx: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Global ``(family, parent)`` counter ids of node ``i``'s cells
-        ``(x_i, x_par_index)``."""
+        ``(x_i, x_par_index)``; ``i`` may be an array of node ids, one
+        per cell."""
         return self.fam_offset[i] + self.family_cells(i, xi, pidx), self.par_offset[i] + pidx
-
-    def all_counter_ids(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(m, n) family and parent counter-id matrices for events ``X``."""
-        m = X.shape[0]
-        fam = np.empty((m, self.n), dtype=np.int64)
-        par = np.empty((m, self.n), dtype=np.int64)
-        for i in range(self.n):
-            fam[:, i], par[:, i] = self.counter_ids(
-                i, X[:, i], self.parent_config_index(X, i)
-            )
-        return fam, par
 
     def counter_owner(self) -> np.ndarray:
         """``(n_counters,)`` map from global counter id to owning variable."""

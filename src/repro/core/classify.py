@@ -42,7 +42,8 @@ def predict(
 
     Each query ``q`` hides ``t = targets[q]`` and predicts
     ``argmax_y P[X_t = y, x_rest]`` under ``model`` (Definition 4 with
-    b = the maximizer; ``model`` exposes ``log_factor(i, xi, pidx)``);
+    b = the maximizer; ``model`` is a
+    :class:`~repro.core.model.CountModel`);
     ties go to the first maximum, as in ``np.argmax``.
     """
     # Padding after each query's candidates never wins np.argmax's first
@@ -56,13 +57,13 @@ def _scores(
     """``(queries, max J)`` grid: row ``q`` holds the log score of each
     candidate value of ``targets[q]``, then ``-inf`` padding.
 
-    All queries are scored together: one row per (query, candidate),
-    and one ``log_factor`` call per factor variable ``v`` over every row
-    whose Markov-blanket factors include ``v``. A row's factors are its
-    slots: ``t`` is slot 0, then ``t``'s children in ``net.children[t]``
-    order, and they are added in slot order. Each element's float
-    operations are those of scoring the query alone, so the scores are
-    bit-identical to a per-query loop's.
+    All queries are scored together: one row per (query, candidate).
+    A row's factors are its slots: ``t`` is slot 0, then ``t``'s children
+    in ``net.children[t]`` order. Slot ``s`` is one ``log_factor`` call
+    over every row that has an ``s``-th factor, with that factor's
+    variable per row, and each row adds its slots in slot order. Each
+    element's float operations are those of scoring the query alone, so
+    the scores are bit-identical to a per-query loop's.
     """
     X_test = np.asarray(X_test)
     targets = np.asarray(targets, dtype=np.int64)
@@ -73,28 +74,17 @@ def _scores(
     t = targets[q]
     cand = np.ascontiguousarray(X_test)[q]
     cand[np.arange(len(q)), t] = y
-    # Every row's slots as (row, slot) entries, sorted by factor variable
-    # (stable): the entries of v are [edges[v], edges[v + 1]).
-    factors = [[v, *net.children[v]] for v in range(net.n)]
-    n_fac = np.array([len(f) for f in factors], dtype=np.int64)
-    n_slots = n_fac[t]
-    e_row = np.repeat(np.arange(len(q)), n_slots)
-    e_slot = np.arange(len(e_row)) - np.repeat(np.cumsum(n_slots) - n_slots, n_slots)
-    e_var = np.concatenate(factors)[(np.cumsum(n_fac) - n_fac)[t][e_row] + e_slot]
-    order = np.argsort(e_var, kind="stable")
-    e_row, e_slot = e_row[order], e_slot[order]
-    edges = np.searchsorted(e_var[order], np.arange(net.n + 1))
-    slot_vals = np.empty((int(n_slots.max(initial=1)), len(q)))
-    for v in np.flatnonzero(np.diff(edges)):
-        r = e_row[edges[v] : edges[v + 1]]
-        sub = cand[r]
-        slot_vals[e_slot[edges[v] : edges[v + 1]], r] = model.log_factor(
-            v, sub[:, v], net.parent_config_index(sub, v)
-        )
-    score = slot_vals[0]
-    for s in range(1, len(slot_vals)):
-        h = np.flatnonzero(n_slots > s)
-        score[h] = score[h] + slot_vals[s, h]
+    # Row v lists the factors whose scope holds v: its own, then its
+    # children's, padded with -1.
+    fac = np.full((net.n, 1 + max(map(len, net.children), default=0)), -1)
+    for v, ch in enumerate(net.children):
+        fac[v, : 1 + len(ch)] = [v, *ch]
+    fac = fac[t]
+    score = np.zeros(len(q))  # 0.0 + x is x: slot 0 adds its factor exactly
+    for s in range(fac.shape[1]):
+        h = np.flatnonzero(fac[:, s] >= 0)
+        v, sub = fac[h, s], cand[h]
+        score[h] += model.log_factor(v, sub[np.arange(len(h)), v], net.parent_index(sub, v))
     grid = np.full((nq, int(J.max(initial=1))), -np.inf)
     grid[q, y] = score
     return grid

@@ -9,6 +9,8 @@ Smoothing: both exact and approximate models use the same pseudo-count
 ``lam`` per cell (``(A + lam) / (A_par + lam * J_i)``) so queries on
 configurations with zero observed mass are well defined and the
 model-vs-MLE ratio is meaningful (DESIGN.md substitution #6).
+The ground truth is the same product over its CPD cells, unsmoothed
+(:meth:`CountModel.from_cpds`).
 """
 from __future__ import annotations
 
@@ -32,13 +34,23 @@ class CountModel:
             raise ValueError("values must have one entry per counter")
         self.values = np.maximum(self.values.astype(np.float64), 0.0)
 
-    def log_factor(self, i: int, xi: np.ndarray, pidx: np.ndarray) -> np.ndarray:
+    @classmethod
+    def from_cpds(cls, net: BayesNet, cpds: list[np.ndarray]) -> "CountModel":
+        """The model whose factors are the CPD cells: ``cpds[i]`` has
+        shape ``(K_i, J_i)``, so its row-major cells are variable ``i``'s
+        family block (offset ``x_par * J_i + x_i``)."""
+        values = np.ones(net.n_counters)
+        values[: net.n_family_counters] = np.concatenate([t.reshape(-1) for t in cpds])
+        return cls(net, values, lam=0.0)
+
+    def log_factor(self, i: int | np.ndarray, xi: np.ndarray, pidx: np.ndarray) -> np.ndarray:
         """``log( A_i(x_i, x_par) / A_i(x_par) )`` with smoothing,
-        vectorized over events."""
+        vectorized over events; ``i`` is one variable id or an array of
+        them, one per event."""
         fam, par = self.net.counter_ids(
             i, np.asarray(xi, dtype=np.int64), np.asarray(pidx, dtype=np.int64)
         )
-        J = float(self.net.cards[i])
+        J = self.net.cards[i].astype(np.float64)
         return np.log(
             (self.values[fam] + self.lam) / (self.values[par] + self.lam * J)
         )

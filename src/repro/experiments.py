@@ -136,7 +136,7 @@ def evaluate_models(gt, results: dict[str, TrainResult], cfg: Config) -> dict[st
     queries whose log-probability is more than ``cfg.eps`` from
     EXACTMLE's (Definition 2 per query)."""
     Xt, targets = classify.make_tests(gt, cfg.n_tests, seed=cfg.seed + 1)
-    lp_true = gt.log_prob(Xt)
+    lp_true = CountModel.from_cpds(gt.net, gt.cpds).log_prob(Xt)
     lp_mle = results["exact"].model.log_prob(Xt) if "exact" in results else None
     out: dict[str, dict] = {}
     for algo, r in results.items():
@@ -177,7 +177,7 @@ def error_vs_m(spark, name: str, m_max: int, cfg: Config) -> list[dict]:
     gt = networks.ground_truth(name)
     res = _train(spark, gt, cfg, m=m_max, collect_snapshots=True)
     Xt, _ = classify.make_tests(gt, cfg.n_tests, seed=cfg.seed + 1)
-    lp_true = gt.log_prob(Xt)
+    lp_true = CountModel.from_cpds(gt.net, gt.cpds).log_prob(Xt)
     rows = []
     for b, (events, exact_vals) in enumerate(res["exact"].snapshots):
         lp_mle = CountModel(gt.net, exact_vals).log_prob(Xt)

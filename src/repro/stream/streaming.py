@@ -35,8 +35,12 @@ def stage_stream(
     File names are zero-padded by batch index and batch ``b``'s
     modification time is ``t0 + b`` seconds: Spark's file source takes
     new files in modification-time order, so both orders equal stream
-    order. Returns the number of batches staged.
+    order. Returns the number of batches staged. The streaming query
+    reads its schema from the first batch, so the stream needs at least
+    one event.
     """
+    if m < 1:
+        raise ValueError(f"the stream needs at least one event, got m={m}")
     ranges = batch_ranges(m, first=first_batch)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()

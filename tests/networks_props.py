@@ -1,6 +1,7 @@
 """Properties of a network or its ground truth that only tests read:
-Lemma 3's smallest conditional, the in-degree, and each counter's
-stationary increment probability."""
+Lemma 3's smallest conditional, the in-degree, each counter's
+stationary increment probability, the joint log-probability read
+straight from the CPD tables, and the exact counts of a set of events."""
 import numpy as np
 
 from repro.bayesnet.cpd import GroundTruth
@@ -10,6 +11,27 @@ from repro.bayesnet.structure import BayesNet
 def min_conditional(gt: GroundTruth) -> float:
     """Lemma 3's ``lambda``: the smallest conditional probability."""
     return float(min(t.min() for t in gt.cpds))
+
+
+def joint_log_prob(gt: GroundTruth, X: np.ndarray) -> np.ndarray:
+    """Log joint probability of each row of ``X`` under Equation 1,
+    summed in variable order from ``log`` of the CPD tables: a reference
+    that shares no code with ``CountModel``."""
+    out = np.zeros(X.shape[0], dtype=np.float64)
+    for i in range(gt.net.n):
+        pidx = gt.net.parent_config_index(X, i)
+        out += np.log(gt.cpds[i])[pidx, X[:, i].astype(np.int64)]
+    return out
+
+
+def exact_counts(net: BayesNet, X: np.ndarray) -> np.ndarray:
+    """Every counter's count over the events ``X``: ids of all
+    ``(event, variable)`` cells at once."""
+    v = np.broadcast_to(np.arange(net.n), X.shape)
+    fam, par = net.counter_ids(v, X, net.parent_index(X, v))
+    return np.bincount(fam.ravel(), minlength=net.n_counters) + np.bincount(
+        par.ravel(), minlength=net.n_counters
+    )
 
 
 def max_parents(net: BayesNet) -> int:

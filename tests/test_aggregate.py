@@ -1,7 +1,7 @@
 """Spark aggregation tests, oracle-checked against DuckDB.
 
 Every result-producing Spark aggregation is verified with
-``repro.oracle.assert_equivalent`` running independent SQL over the same
+``tests.oracle.assert_equivalent`` running independent SQL over the same
 input events — catching any error in the counter-id arithmetic, the
 site-side kernel, or the driver-side merge of the sites' partials, not
 just "it ran". The chunk-aligned task cutter is property-tested.
@@ -14,7 +14,6 @@ import pandas as pd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro import oracle
 from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
 from repro.bayesnet.sampling import CHUNK, sample_events, sample_sites
@@ -29,6 +28,7 @@ from repro.stream.aggregate import (
     duckdb_counts_sql,
 )
 from repro.stream.events import batch_ranges, events_pandas
+from tests import oracle
 
 
 def rows(batch) -> pd.DataFrame:

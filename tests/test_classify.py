@@ -16,12 +16,18 @@ from repro.bayesnet.structure import BayesNet
 from repro.core import classify
 from repro.core.learner import train_many
 from repro.core.model import CountModel
+from tests.networks_props import exact_counts, joint_log_prob
 
 
 @pytest.fixture(scope="module")
 def vee_gt():
     net = BayesNet("vee", [[], [], [0, 1]], np.array([2, 3, 4]))
     return GroundTruth.random(net, seed=5, alpha=0.4)
+
+
+def gt_model(gt: GroundTruth) -> CountModel:
+    """The ground truth as the model classification scores."""
+    return CountModel.from_cpds(gt.net, gt.cpds)
 
 
 def score_one(model, net: BayesNet, x: np.ndarray, t: int) -> np.ndarray:
@@ -58,7 +64,7 @@ def brute_force_predict(gt: GroundTruth, x: np.ndarray, t: int) -> int:
     for y in range(int(gt.net.cards[t])):
         z = x.copy()
         z[t] = y
-        lp = float(gt.log_prob(z[None, :])[0])
+        lp = float(joint_log_prob(gt, z[None, :])[0])
         if lp > best_lp:
             best, best_lp = y, lp
     return best
@@ -72,7 +78,7 @@ class TestPredictOne:
                 [rng.integers(0, c) for c in vee_gt.net.cards], dtype=np.int64
             )
             t = int(rng.integers(0, 3))
-            assert predict_both(vee_gt, vee_gt.net, x, t) == brute_force_predict(vee_gt, x, t)
+            assert predict_both(gt_model(vee_gt), vee_gt.net, x, t) == brute_force_predict(vee_gt, x, t)
 
     def test_matches_brute_force_on_chain(self):
         gt = GroundTruth.random(networks.chain(5, J=3), seed=8, alpha=0.4)
@@ -80,18 +86,14 @@ class TestPredictOne:
         for _ in range(30):
             x = rng.integers(0, 3, 5).astype(np.int64)
             t = int(rng.integers(0, 5))
-            assert predict_both(gt, gt.net, x, t) == brute_force_predict(gt, x, t)
+            assert predict_both(gt_model(gt), gt.net, x, t) == brute_force_predict(gt, x, t)
 
     def test_matches_brute_force_with_count_model(self):
         """Markov-blanket argmax == full-joint argmax also for learned
         CountModels (all assignments enumerated)."""
         gt = GroundTruth.random(networks.chain(4, J=2), seed=9)
         X = sampling.sample_events(gt, 0, 4000, seed=10)
-        counts = np.zeros(gt.net.n_counters)
-        fam, par = gt.net.all_counter_ids(X)
-        counts += np.bincount(fam.ravel(), minlength=gt.net.n_counters)
-        counts += np.bincount(par.ravel(), minlength=gt.net.n_counters)
-        model = CountModel(gt.net, counts)
+        model = CountModel(gt.net, exact_counts(gt.net, X))
         for x in itertools.product(range(2), repeat=4):
             x = np.array(x, dtype=np.int64)
             for t in range(4):
@@ -128,26 +130,22 @@ class TestMakeTests:
 class TestErrorRate:
     def test_ground_truth_model_beats_random(self, vee_gt):
         X, targets = classify.make_tests(vee_gt, 400, seed=4)
-        err = classify.error_rate(vee_gt, vee_gt.net, X, targets)
+        err = classify.error_rate(gt_model(vee_gt), vee_gt.net, X, targets)
         # Random guessing over cards (2,3,4) would err ~0.63 on average.
         assert err < 0.5
 
     def test_error_rate_bounds(self, vee_gt):
         X, targets = classify.make_tests(vee_gt, 50, seed=5)
-        err = classify.error_rate(vee_gt, vee_gt.net, X, targets)
+        err = classify.error_rate(gt_model(vee_gt), vee_gt.net, X, targets)
         assert 0.0 <= err <= 1.0
 
     def test_learned_model_close_to_ground_truth_classifier(self):
         gt = GroundTruth.random(networks.chain(6, J=3), seed=12, alpha=0.3)
         X = sampling.sample_events(gt, 0, 60_000, seed=13)
-        counts = np.zeros(gt.net.n_counters)
-        fam, par = gt.net.all_counter_ids(X)
-        counts += np.bincount(fam.ravel(), minlength=gt.net.n_counters)
-        counts += np.bincount(par.ravel(), minlength=gt.net.n_counters)
-        model = CountModel(gt.net, counts)
+        model = CountModel(gt.net, exact_counts(gt.net, X))
         Xt, targets = classify.make_tests(gt, 500, seed=14)
         err_model = classify.error_rate(model, gt.net, Xt, targets)
-        err_true = classify.error_rate(gt, gt.net, Xt, targets)
+        err_true = classify.error_rate(gt_model(gt), gt.net, Xt, targets)
         assert abs(err_model - err_true) < 0.05
 
 
@@ -156,11 +154,11 @@ class TestBatched:
     def test_equals_per_query_loop(self, name):
         """Every query's batched scores equal the oracle's bit for bit,
         and so do the predictions, for a learned CountModel and for the
-        ground truth, on every network."""
+        ground truth as a counter model, on every network."""
         gt = networks.ground_truth(name)
         res = train_many(None, gt, ["nonuniform"], m=3000, k=4, eps=0.1, seed=3, proto_c=0.1)
         Xt, targets = classify.make_tests(gt, 300, seed=4)
-        for model in (res["nonuniform"].model, gt):
+        for model in (res["nonuniform"].model, gt_model(gt)):
             grid = classify._scores(model, gt.net, Xt, targets)
             for q in range(300):
                 t = int(targets[q])

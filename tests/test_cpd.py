@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bayesnet import networks
+from repro.bayesnet import networks, sampling
 from repro.bayesnet.cpd import GroundTruth
 from repro.bayesnet.structure import BayesNet
-from tests.networks_props import exact_counter_probs, min_conditional
+from repro.core.model import CountModel
+from tests.networks_props import exact_counter_probs, joint_log_prob, min_conditional
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +63,15 @@ class TestRandomCPDs:
 
 
 class TestLogProb:
-    def test_matches_manual_product(self, vee_gt):
+    """The ground truth scored as a counter model (Equation 1)."""
+
+    @pytest.fixture(scope="class")
+    def model(self, vee_gt):
+        return CountModel.from_cpds(vee_gt.net, vee_gt.cpds)
+
+    def test_matches_manual_product(self, vee_gt, model):
         X = np.array([[1, 2, 3], [0, 0, 0]])
-        lp = vee_gt.log_prob(X)
+        lp = model.log_prob(X)
         for r in range(2):
             a, b, c = X[r]
             manual = (
@@ -73,25 +80,32 @@ class TestLogProb:
             )
             assert lp[r] == pytest.approx(np.log(manual))
 
-    def test_total_mass_is_one(self, vee_gt):
-        net = vee_gt.net
+    def test_total_mass_is_one(self, model):
         X = np.array(
             [[a, b, c] for a in range(2) for b in range(3) for c in range(4)]
         )
-        assert np.exp(vee_gt.log_prob(X)).sum() == pytest.approx(1.0)
+        assert np.exp(model.log_prob(X)).sum() == pytest.approx(1.0)
 
-    def test_log_factor_consistency(self, vee_gt):
+    def test_log_factor_consistency(self, vee_gt, model):
         X = np.array([[1, 1, 2]])
-        lp = vee_gt.log_prob(X)
+        lp = model.log_prob(X)
         total = sum(
             float(
-                vee_gt.log_factor(
+                model.log_factor(
                     i, X[:, i], vee_gt.net.parent_config_index(X, i)
                 )[0]
             )
             for i in range(3)
         )
         assert total == pytest.approx(float(lp[0]))
+
+    @pytest.mark.parametrize("name", ["alarm", "hepar2", "link", "munin", "new-alarm"])
+    def test_equals_cpd_reference(self, name):
+        """Bit for bit the log of each CPD cell, summed in variable order."""
+        gt = networks.ground_truth(name)
+        X = sampling.sample_events(gt, 0, 500, seed=6)
+        got = CountModel.from_cpds(gt.net, gt.cpds).log_prob(X)
+        assert got.tobytes() == joint_log_prob(gt, X).tobytes()
 
 
 class TestExactCounterProbs:
@@ -112,7 +126,7 @@ class TestExactCounterProbs:
         X = np.array(
             [[a, b, c] for a in range(2) for b in range(2) for c in range(2)]
         )
-        p = np.exp(gt.log_prob(X))
+        p = np.exp(joint_log_prob(gt, X))
         probs = exact_counter_probs(gt)
         # P[X1 = 0, X0 = 0] from enumeration vs family counter of node 1.
         manual = p[(X[:, 1] == 0) & (X[:, 0] == 0)].sum()

@@ -83,21 +83,28 @@ class TestRunners:
 
     def test_evaluate_models_scores_each_model_once(self, tiny_cfg, monkeypatch):
         """EXACTMLE's log-probabilities are both its own score and the
-        reference of every other algorithm's: computed once, not twice."""
+        reference of every other algorithm's: computed once, not twice.
+        The ground truth, a counter model over its CPDs, is scored once
+        too."""
         from repro.core.model import CountModel
 
         gt = networks.ground_truth("alarm")
         res = ex._train(None, gt, tiny_cfg)
-        calls: dict[int, int] = {}
+        scored: list[CountModel] = []
         log_prob = CountModel.log_prob
 
         def counted(model, X):
-            calls[id(model)] = calls.get(id(model), 0) + 1
+            scored.append(model)
             return log_prob(model, X)
 
         monkeypatch.setattr(CountModel, "log_prob", counted)
         ex.evaluate_models(gt, res, tiny_cfg)
-        assert calls == {id(r.model): 1 for r in res.values()}
+        truth = [m for m in scored if all(m is not r.model for r in res.values())]
+        assert len(truth) == 1 and truth[0].lam == 0.0
+        np.testing.assert_array_equal(
+            truth[0].values, CountModel.from_cpds(gt.net, gt.cpds).values
+        )
+        assert sorted(map(id, scored)) == sorted(map(id, [*truth, *(r.model for r in res.values())]))
 
     def test_comm_vs_k_monotone(self, tiny_cfg):
         rows = ex.comm_vs_k("alarm", [2, 20], tiny_cfg)

@@ -170,10 +170,10 @@ class TestSnapshots:
         res = train_many(None, gt, ["exact"], m=40_000, k=30, eps=0.1,
                          seed=18, collect_snapshots=True)
         Xt, _ = classify.make_tests(gt, 400, seed=19)
-        lp_true = gt.log_prob(Xt)
-        errs = []
         from repro.core.model import CountModel
 
+        lp_true = CountModel.from_cpds(gt.net, gt.cpds).log_prob(Xt)
+        errs = []
         for events, vals in res["exact"].snapshots:
             errs.append(
                 mean_abs_ratio_error(

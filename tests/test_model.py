@@ -5,19 +5,12 @@ import pytest
 from repro.bayesnet import networks, sampling
 from repro.bayesnet.cpd import GroundTruth
 from repro.core.model import CountModel, mean_abs_ratio_error
+from tests.networks_props import exact_counts, joint_log_prob
 
 
 @pytest.fixture(scope="module")
 def gt():
     return GroundTruth.random(networks.chain(4, J=3), seed=2)
-
-
-def exact_counts(gt, X, sites=None):
-    counts = np.zeros(gt.net.n_counters, dtype=np.int64)
-    fam, par = gt.net.all_counter_ids(X)
-    counts += np.bincount(fam.ravel(), minlength=gt.net.n_counters)
-    counts += np.bincount(par.ravel(), minlength=gt.net.n_counters)
-    return counts
 
 
 class TestCountModel:
@@ -33,7 +26,7 @@ class TestCountModel:
         """With exact counts and lam -> 0, the model factor equals the
         empirical conditional frequency (Lemma 2)."""
         X = sampling.sample_events(gt, 0, 5000, seed=3)
-        counts = exact_counts(gt, X)
+        counts = exact_counts(gt.net, X)
         m = CountModel(gt.net, counts.astype(float), lam=1e-12)
         i = 1
         pidx = gt.net.parent_config_index(X, i)
@@ -45,7 +38,7 @@ class TestCountModel:
 
     def test_log_prob_sums_factors(self, gt):
         X = sampling.sample_events(gt, 0, 10, seed=4)
-        counts = exact_counts(gt, X)
+        counts = exact_counts(gt.net, X)
         m = CountModel(gt.net, counts.astype(float))
         lp = m.log_prob(X[:3])
         manual = np.zeros(3)
@@ -57,9 +50,9 @@ class TestCountModel:
         """Lemma 3: with enough data the MLE's joint ratio to the ground
         truth approaches 1."""
         Xbig = sampling.sample_events(gt, 0, 200_000, seed=5)
-        m = CountModel(gt.net, exact_counts(gt, Xbig).astype(float))
+        m = CountModel(gt.net, exact_counts(gt.net, Xbig).astype(float))
         Xt = sampling.sample_events(gt, 1 << 41, (1 << 41) + 500, seed=6)
-        err = mean_abs_ratio_error(m.log_prob(Xt), gt.log_prob(Xt))
+        err = mean_abs_ratio_error(m.log_prob(Xt), joint_log_prob(gt, Xt))
         assert err < 0.05
 
     def test_more_data_less_error(self, gt):
@@ -67,8 +60,8 @@ class TestCountModel:
         errs = []
         for m_events in [500, 5000, 50_000]:
             X = sampling.sample_events(gt, 0, m_events, seed=7)
-            mdl = CountModel(gt.net, exact_counts(gt, X).astype(float))
-            errs.append(mean_abs_ratio_error(mdl.log_prob(Xt), gt.log_prob(Xt)))
+            mdl = CountModel(gt.net, exact_counts(gt.net, X).astype(float))
+            errs.append(mean_abs_ratio_error(mdl.log_prob(Xt), joint_log_prob(gt, Xt)))
         assert errs[0] > errs[1] > errs[2]
 
     def test_smoothing_handles_unseen_configs(self, gt):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.bayesnet import networks, sampling
 from repro.bayesnet.cpd import GroundTruth
 from repro.bayesnet.structure import BayesNet
-from tests.networks_props import exact_counter_probs, max_parents
+from tests.networks_props import exact_counter_probs, exact_counts, max_parents
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +74,7 @@ class TestDistribution:
         gt = GroundTruth.random(networks.chain(5, J=2), seed=7)
         X = sampling.sample_events(gt, 0, 50_000, seed=8)
         probs = exact_counter_probs(gt)
-        fam, par = gt.net.all_counter_ids(X)
-        counts = np.bincount(fam.ravel(), minlength=gt.net.n_counters)
-        counts += np.bincount(par.ravel(), minlength=gt.net.n_counters)
-        emp = counts / len(X)
+        emp = exact_counts(gt.net, X) / len(X)
         np.testing.assert_allclose(emp, probs, atol=0.02)
 
     def test_sites_uniform(self):

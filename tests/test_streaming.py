@@ -25,6 +25,17 @@ def staged_naive_bayes(tmp_path_factory):
     return gt, d
 
 
+@pytest.mark.parametrize("m", [0, -5])
+def test_stage_stream_rejects_empty_stream(tmp_path, m):
+    """With no events there is no first batch to read the schema from:
+    refused before anything is written, without Spark."""
+    gt = GroundTruth.random(networks.chain(3, J=2), seed=1)
+    d = tmp_path / "stream"
+    with pytest.raises(ValueError, match="at least one event"):
+        stage_stream(gt, str(d), m=m, k=2, seed=0)
+    assert not d.exists()
+
+
 class TestStructuredStreaming:
     def test_stages_doubling_batches(self, staged):
         import glob

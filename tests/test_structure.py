@@ -7,6 +7,11 @@ from repro.bayesnet.structure import BayesNet
 from tests.networks_props import max_parents
 
 
+def random_events(net: BayesNet, m: int, *, seed: int) -> np.ndarray:
+    """``m`` uniformly random assignments of ``net``'s variables."""
+    return np.random.default_rng(seed).integers(0, net.cards, (m, net.n))
+
+
 def tiny_vee() -> BayesNet:
     # X0 -> X2 <- X1, cards 2/3/4.
     return BayesNet("vee", [[], [], [0, 1]], np.array([2, 3, 4]))
@@ -145,15 +150,33 @@ class TestCounterIndex:
         J = int(net.cards[i])
         assert (i, off % J, off // J) == (2, 3, int(pidx[0]))
 
-    def test_all_counter_ids_matches_per_node(self):
+    def test_counter_id_matrices_match_per_node(self):
+        """Ids of every (event, variable) cell at once equal the ids
+        computed one variable at a time."""
         net = networks.make("alarm")
-        rng = np.random.default_rng(0)
-        X = np.stack([rng.integers(0, net.cards[i], 50) for i in range(net.n)], axis=1)
-        fam, par = net.all_counter_ids(X)
+        X = random_events(net, 50, seed=0)
+        v = np.broadcast_to(np.arange(net.n), X.shape)
+        fam, par = net.counter_ids(v, X, net.parent_index(X, v))
         for i in [0, 5, net.n - 1]:
             want = net.counter_ids(i, X[:, i], net.parent_config_index(X, i))
             assert np.array_equal(fam[:, i], want[0])
             assert np.array_equal(par[:, i], want[1])
+
+    @pytest.mark.parametrize(
+        "name", ["alarm", "hepar2", "link", "munin", "new-alarm", "chain", "naive-bayes"]
+    )
+    def test_parent_index_mixed_variables(self, name):
+        """Row ``r``'s parent index for ``v[r]`` is that variable's
+        ``parent_config_index`` in row ``r``, whatever mix of variables
+        the rows ask for."""
+        net = {"chain": networks.chain(6, J=3), "naive-bayes": networks.naive_bayes(5, 4, 3)}.get(
+            name
+        ) or networks.make(name)
+        X = random_events(net, 300, seed=1)
+        v = np.random.default_rng(2).integers(0, net.n, len(X))
+        got = net.parent_index(X, v)
+        want = [net.parent_config_index(X, int(v[r]))[r] for r in range(len(X))]
+        np.testing.assert_array_equal(got, want)
 
     def test_blocks_disjoint(self):
         net = tiny_vee()
