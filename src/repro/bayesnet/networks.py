@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bayesnet.cpd import GroundTruth
-from repro.bayesnet.structure import BayesNet
+from repro.bayesnet.structure import BayesNet, padded_parents
 
 
 @dataclass(frozen=True)
@@ -79,26 +79,17 @@ def _random_dag(
     return [sorted(p) for p in parents]
 
 
-def _parent_matrix(parents: list[list[int]]) -> np.ndarray:
-    """``(n, d_max)`` parent ids, padded with ``n``: the id of an extra
-    cardinality-1 slot, so every row's product is ``K_i``."""
-    n = len(parents)
-    P = np.full((n, max(map(len, parents), default=0)), n, dtype=np.int64)
-    for j, ps in enumerate(parents):
-        P[j, : len(ps)] = ps
-    return P
-
-
-def _params_for_cards(P: np.ndarray, cards: np.ndarray) -> int:
-    """``sum (J_i - 1) * K_i`` for the parent matrix ``P`` of
-    :func:`_parent_matrix`."""
-    K = np.append(cards, 1)[P].prod(axis=1)
+def _params_for_cards(padded: tuple[np.ndarray, np.ndarray], cards: np.ndarray) -> int:
+    """``sum (J_i - 1) * K_i`` for the :func:`padded_parents` table of
+    the parent sets."""
+    table, slot = padded
+    K = np.where(slot, cards[table], 1).prod(axis=1)
     return int(((cards - 1) * K).sum())
 
 
 def _fit_cards(
     rng: np.random.Generator,
-    P: np.ndarray,
+    padded: tuple[np.ndarray, np.ndarray],
     target: int,
     card_cap: int,
 ) -> np.ndarray:
@@ -107,18 +98,18 @@ def _fit_cards(
     ``params(t)`` is monotone nondecreasing in ``t``, so bisection finds
     the temperature whose integer cardinalities are closest to target.
     """
-    n = len(P)
+    n = len(padded[0])
     base = rng.uniform(np.log(2.0), np.log(float(card_cap)), n)
 
     def cards_at(t: float) -> np.ndarray:
         return np.clip(np.round(np.exp(t * base)), 2, card_cap).astype(np.int64)
 
     lo, hi = 0.01, 3.0
-    best, best_err = cards_at(lo), abs(_params_for_cards(P, cards_at(lo)) - target)
+    best, best_err = cards_at(lo), abs(_params_for_cards(padded, cards_at(lo)) - target)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         c = cards_at(mid)
-        p = _params_for_cards(P, c)
+        p = _params_for_cards(padded, c)
         err = abs(p - target)
         if err < best_err:
             best, best_err = c, err
@@ -146,9 +137,9 @@ def synth_network(
     for a in range(attempts):
         rng = np.random.default_rng([seed, 0xBA7E5, a])
         parents = _random_dag(rng, n_nodes, n_edges, d_max)
-        P = _parent_matrix(parents)
-        cards = _fit_cards(rng, P, target_params, card_cap)
-        err = abs(_params_for_cards(P, cards) - target_params)
+        padded = padded_parents(parents)
+        cards = _fit_cards(rng, padded, target_params, card_cap)
+        err = abs(_params_for_cards(padded, cards) - target_params)
         if err < best_err:
             best = parents, cards
             best_err = err

@@ -24,6 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def padded_parents(parents: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, slot)``: ``(n, d_max)`` parent ids, row ``i`` holding
+    ``parents[i]`` padded with parent 0, and the mask of real slots."""
+    lens = np.array([len(p) for p in parents], dtype=np.int64)
+    slot = np.arange(lens.max(initial=0)) < lens[:, None]
+    table = np.zeros(slot.shape, dtype=np.int64)
+    table[slot] = [p for ps in parents for p in ps]
+    return table, slot
+
+
 @dataclass
 class BayesNet:
     """Directed acyclic graph over categorical variables.
@@ -68,11 +78,14 @@ class BayesNet:
             for p in ps:
                 self.children[p].append(j)
         self.topo = self._topological_order()
-        # K_i = |dom(par(X_i))| = product of parent cardinalities (1 if root).
-        self.K = np.array(
-            [int(np.prod(self.cards[p])) if p else 1 for p in self.parents],
-            dtype=np.int64,
-        )
+        # Mixed-radix strides per parent slot: stride of parents[i][t] is
+        # prod(cards[parents[i][:t]]) so x_par_index = sum stride*value;
+        # padding slots get stride 0, which adds nothing. K_i =
+        # |dom(par(X_i))| = product of parent cardinalities (1 if root).
+        self.parent_table, slot = padded_parents(self.parents)
+        c = np.where(slot, self.cards[self.parent_table], 1)
+        self.K = c.prod(axis=1)
+        self.strides = np.where(slot, np.cumprod(c, axis=1) // c, 0)
         fam_sizes = self.cards * self.K
         self.fam_offset = np.concatenate([[0], np.cumsum(fam_sizes)])
         self.n_family_counters = int(self.fam_offset[-1])
@@ -80,16 +93,6 @@ class BayesNet:
             [[0], np.cumsum(self.K)]
         )
         self.n_counters = int(self.par_offset[-1])
-        # Mixed-radix strides per parent slot: stride of parents[i][t] is
-        # prod(cards[parents[i][:t]]) so x_par_index = sum stride*value.
-        # Rows are padded to the largest in-degree with parent 0 at
-        # stride 0, which adds nothing.
-        lens = np.array([len(p) for p in self.parents], dtype=np.int64)
-        slot = np.arange(lens.max(initial=0)) < lens[:, None]
-        self.parent_table = np.zeros(slot.shape, dtype=np.int64)
-        self.parent_table[slot] = [p for ps in self.parents for p in ps]
-        c = np.where(slot, self.cards[self.parent_table], 1)
-        self.strides = np.where(slot, np.cumprod(c, axis=1) // c, 0)
 
     # ---------------------------------------------------------------- DAG
 

@@ -86,12 +86,19 @@ class Config:
 
     def __post_init__(self) -> None:
         # Table 3 divides by EXACTMLE's messages, which are 0 without
-        # training events.
-        if self.m < 1:
-            raise ValueError(f"REPRO_M must be at least 1, got {self.m}")
-        # Every error rate is a share of the test events.
-        if self.n_tests < 1:
-            raise ValueError(f"REPRO_TESTS must be at least 1, got {self.n_tests}")
+        # training events, and every error rate is a share of the test
+        # events. The engines and the budget refuse the others too, but
+        # only once training starts: after the ground truth and the JVM.
+        for var, value, ok, need in [
+            ("REPRO_M", self.m, self.m >= 1, "at least 1"),
+            ("REPRO_TESTS", self.n_tests, self.n_tests >= 1, "at least 1"),
+            ("REPRO_K", self.k, self.k >= 1, "at least 1"),
+            ("REPRO_EPS", self.eps, 0 < self.eps < 1, "in (0, 1)"),
+            ("REPRO_SEED", self.seed, self.seed >= 0, "non-negative"),
+            ("REPRO_PROTO_C", self.proto_c, 0 < self.proto_c < np.inf, "positive and finite"),
+        ]:
+            if not ok:
+                raise ValueError(f"{var} must be {need}, got {value}")
 
 
 def get_spark():

@@ -202,9 +202,7 @@ def aggregate_generated(
     return job.take(gt, lo, hi, k=k, seed=seed)
 
 
-def aggregate_events_df(
-    spark: SparkSession, net: BayesNet, events_df: DataFrame, *, k: int
-) -> Counts:
+def aggregate_events_df(net: BayesNet, events_df: DataFrame, *, k: int) -> Counts:
     """Aggregate an explicit events DataFrame (cols ``site, v0..v{n-1}``):
     each Arrow batch's kernel partial is collected and merged on the driver."""
     vcols = [f"v{i}" for i in range(net.n)]

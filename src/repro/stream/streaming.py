@@ -1,22 +1,20 @@
 """Genuine Structured Streaming wiring of the learner.
 
 The rest of the codebase drives the learner with an explicit micro-batch
-loop (semantically ``foreachBatch``). This module shows the same
-coordinator update running under a real Structured Streaming query: the
-event stream is staged on the driver as one parquet file per micro-batch,
-written with pandas/pyarrow (no Spark job), read with ``readStream``
-(``maxFilesPerTrigger=1`` so Spark's micro-batches align with the
-protocol's), and inside ``foreachBatch`` every micro-batch is
-aggregated by :func:`~repro.stream.aggregate.aggregate_events_df` and fed
-to the same :class:`~repro.core.learner.Learner`.
-
-Used by ``jobs/streaming_demo.py`` and the streaming integration test,
-which asserts every algorithm's messages, history and model equal the
-batch-loop path's.
+loop (semantically ``foreachBatch``). :func:`run_streaming_learner` takes
+``train_many``'s arguments and runs the same coordinator update under a
+real Structured Streaming query: the event stream is staged on the driver
+as one parquet file per micro-batch, written with pandas/pyarrow (no
+Spark job), read with ``readStream`` (``maxFilesPerTrigger=1`` so Spark's
+micro-batches align with the protocol's), and inside ``foreachBatch``
+every micro-batch is aggregated by
+:func:`~repro.stream.aggregate.aggregate_events_df` and fed to the same
+:class:`~repro.core.learner.Learner`. Used by ``jobs/streaming_demo.py``.
 """
 from __future__ import annotations
 
 import os
+import tempfile
 import time
 
 from pyspark.sql import SparkSession
@@ -54,42 +52,39 @@ def stage_stream(
 def run_streaming_learner(
     spark: SparkSession,
     gt: GroundTruth,
-    stream_dir: str,
+    algos: list[str],
     *,
+    m: int,
     k: int,
     eps: float,
-    algos: list[str],
     seed: int,
     proto_c: float = 1.0,
+    first_batch: int = 1024,
 ) -> dict[str, TrainResult]:
-    """Consume the staged stream with a Structured Streaming query.
-
-    Every micro-batch feeds the same :class:`~repro.core.learner.Learner`
-    as ``train_many``, so with the stream staged at ``seed`` the results
-    equal ``train_many(None, gt, algos, seed=seed, ...)``'s. Returns once
-    the query drains (``availableNow`` trigger). Each invocation uses a
-    fresh checkpoint so re-running over the same staged stream replays it
-    from the start.
+    """``train_many(None, gt, algos, ...)``'s results, learned by a
+    Structured Streaming query. The stream is staged in a temporary
+    directory that also holds the query checkpoint (outside the
+    ``b*.parquet`` glob the query reads), deleted on return and on error.
     """
-    import tempfile
-
     learner = Learner(gt.net, algos, k=k, eps=eps, seed=seed, proto_c=proto_c)
-    schema = spark.read.parquet(os.path.join(stream_dir, "b00000.parquet")).schema
 
     def on_batch(batch_df, batch_id: int) -> None:
-        learner.update(*aggregate_events_df(spark, gt.net, batch_df, k=k))
+        learner.update(*aggregate_events_df(gt.net, batch_df, k=k))
 
-    q = (
-        spark.readStream.schema(schema)
-        .option("maxFilesPerTrigger", 1)
-        .parquet(os.path.join(stream_dir, "b*.parquet"))
-        .writeStream.foreachBatch(on_batch)
-        .trigger(availableNow=True)
-        .option(
-            "checkpointLocation",
-            tempfile.mkdtemp(prefix="repro-stream-ckpt-"),
+    with tempfile.TemporaryDirectory(prefix="repro-stream-") as d:
+        stage_stream(gt, d, m=m, k=k, seed=seed, first_batch=first_batch)
+        schema = spark.read.parquet(os.path.join(d, "b00000.parquet")).schema
+        q = (
+            spark.readStream.schema(schema)
+            .option("maxFilesPerTrigger", 1)
+            .parquet(os.path.join(d, "b*.parquet"))
+            .writeStream.foreachBatch(on_batch)
+            .trigger(availableNow=True)
+            .option("checkpointLocation", os.path.join(d, "checkpoint"))
+            .start()
         )
-        .start()
-    )
-    q.awaitTermination()
+        try:
+            q.awaitTermination()  # drains the staged files (availableNow)
+        finally:
+            q.stop()  # a no-op unless interrupted: nothing writes to d after
     return learner.models()

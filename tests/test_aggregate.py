@@ -62,21 +62,21 @@ class TestOracle:
         same events table."""
         events = events_pandas(gt, 0, 4000, k=5, seed=7)
         sdf = spark.createDataFrame(events)
-        got = rows(aggregate_events_df(spark, gt.net, sdf, k=5))
+        got = rows(aggregate_events_df(gt.net, sdf, k=5))
         oracle.assert_equivalent(got, duckdb_counts_sql(gt.net), events=events)
 
     def test_oracle_on_chain_network(self, spark):
         g = GroundTruth.random(networks.chain(4, J=3), seed=5)
         events = events_pandas(g, 0, 2500, k=3, seed=8)
         sdf = spark.createDataFrame(events)
-        got = rows(aggregate_events_df(spark, g.net, sdf, k=3))
+        got = rows(aggregate_events_df(g.net, sdf, k=3))
         oracle.assert_equivalent(got, duckdb_counts_sql(g.net), events=events)
 
     def test_oracle_catches_wrong_result(self, spark, gt):
         """Negative control: a corrupted aggregation must fail the oracle."""
         events = events_pandas(gt, 0, 500, k=3, seed=9)
         sdf = spark.createDataFrame(events)
-        got = rows(aggregate_events_df(spark, gt.net, sdf, k=3))
+        got = rows(aggregate_events_df(gt.net, sdf, k=3))
         bad = got.assign(n=got["n"] + 1)
         with pytest.raises(AssertionError):
             oracle.assert_equivalent(bad, duckdb_counts_sql(gt.net), events=events)
@@ -146,7 +146,7 @@ class TestPathAgreement:
         events = events_pandas(gt, 0, 2000, k=4, seed=13)
         sdf = spark.createDataFrame(events)
         assert_same(
-            aggregate_events_df(spark, gt.net, sdf, k=4),
+            aggregate_events_df(gt.net, sdf, k=4),
             aggregate_local(gt, 0, 2000, k=4, seed=13),
             4,
         )

@@ -50,6 +50,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="REPRO_M"):
             ex.Config()
 
+    @pytest.mark.parametrize("var, value", [
+        ("REPRO_K", "0"),
+        ("REPRO_EPS", "0"),
+        ("REPRO_EPS", "1.5"),
+        ("REPRO_EPS", "nan"),
+        ("REPRO_SEED", "-1"),
+        ("REPRO_PROTO_C", "0"),
+        ("REPRO_PROTO_C", "inf"),
+    ])
+    def test_rejects_setting_training_would_refuse(self, monkeypatch, var, value):
+        """The engines and the budget refuse these only once training
+        starts, after the ground truth is built (and, in Spark sections,
+        the JVM started): the config refuses them first, naming the
+        variable."""
+        monkeypatch.setenv(var, value)
+        with pytest.raises(ValueError, match=var):
+            ex.Config()
+
 
 class TestPaperConstants:
     def test_table3_exact_is_2mn(self):

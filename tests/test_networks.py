@@ -4,7 +4,7 @@ import pytest
 
 from repro.bayesnet import networks
 from repro.bayesnet.networks import PAPER_NETWORKS
-from repro.bayesnet.structure import BayesNet
+from repro.bayesnet.structure import BayesNet, padded_parents
 from tests.networks_props import max_parents
 
 
@@ -101,10 +101,10 @@ class TestParamsForCards:
         edges = int(rng.integers(0, sum(min(j, d_max) for j in range(n)) + 1))
         parents = networks._random_dag(rng, n, edges, d_max)
         cards = rng.integers(2, 9, n)
-        P = networks._parent_matrix(parents)
-        assert networks._params_for_cards(P, cards) == BayesNet("r", parents, cards).n_params
+        padded = padded_parents(parents)
+        assert networks._params_for_cards(padded, cards) == BayesNet("r", parents, cards).n_params
 
     def test_no_edges(self):
-        P = networks._parent_matrix([[], [], []])
-        assert P.shape == (3, 0)
-        assert networks._params_for_cards(P, np.array([2, 3, 4])) == 1 + 2 + 3
+        table, slot = padded = padded_parents([[], [], []])
+        assert table.shape == slot.shape == (3, 0)
+        assert networks._params_for_cards(padded, np.array([2, 3, 4])) == 1 + 2 + 3

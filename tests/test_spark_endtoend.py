@@ -1,4 +1,6 @@
-"""End-to-end training through the Spark aggregation path."""
+"""End-to-end training through the Spark aggregation path. The
+Structured Streaming driver is checked against the same reference in
+``test_streaming.py``."""
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ class TestSparkTraining:
         local = train_many(
             None, gt, ["exact"], m=20_000, k=10, eps=0.1, seed=31
         )
+        assert res["exact"].history == local["exact"].history
         np.testing.assert_array_equal(
             res["exact"].model.values, local["exact"].model.values
         )
@@ -45,6 +48,7 @@ class TestSparkTraining:
         )
         for algo in ["baseline", "uniform", "nonuniform"]:
             assert res[algo].total_messages == local[algo].total_messages
+            assert res[algo].history == local[algo].history
             np.testing.assert_array_equal(
                 res[algo].model.values, local[algo].model.values
             )
