@@ -185,7 +185,7 @@ class BatchCounterEngine:
         and added; raises ``ValueError`` unless exactly one batch was added
         since this engine's last update."""
         self.batches = self.ledger.take(self.batches)
-        cid, sid, n = np.asarray(cid), np.asarray(sid), np.asarray(n, dtype=np.int64)
+        cid, sid, n = np.asarray(cid), np.asarray(sid), np.asarray(n)
         if len(cid) == 0:
             return
 
@@ -199,7 +199,7 @@ class BatchCounterEngine:
         self.charged += int(n.sum())
         thin = np.flatnonzero((self.slot >= 0)[cid])
         if len(thin):
-            ct, nt = cid[thin], n[thin]
+            ct, nt = cid[thin], n[thin].astype(np.int64, copy=False)
             pt = self.p[ct]
             u = self.rng.random(len(thin))
             with np.errstate(divide="ignore"):

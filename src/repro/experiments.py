@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -102,12 +103,19 @@ class Config:
 
 
 def get_spark():
-    """SparkSession for spark-submit entrypoints (conftest-compatible)."""
+    """SparkSession for spark-submit entrypoints (conftest-compatible).
+
+    Arrow is on. The Python workers import the driver's ``repro``: its
+    directory goes ahead of the process's ``PYTHONPATH``. They fork from
+    :mod:`repro.stream.daemon`, so no task re-reads Spark's zip archives.
+    """
     from pyspark.sql import SparkSession
 
     return (
         SparkSession.builder.appName("repro-jobs")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.executorEnv.PYTHONPATH", str(Path(__file__).resolve().parents[1]))
+        .config("spark.python.daemon.module", "repro.stream.daemon")
         .getOrCreate()
     )
 

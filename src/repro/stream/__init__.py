@@ -8,6 +8,6 @@ increment counts, one partial per micro-batch its slice meets. The
 driver merges each micro-batch's partials, with no shuffle, and runs the
 coordinator protocol on them in stream order. Submodules: ``events``
 (batch schedule, event frame), ``aggregate`` (site-side kernel and its
-drivers) and ``streaming`` (Structured Streaming wiring); the package
-re-exports nothing.
+drivers), ``streaming`` (Structured Streaming wiring) and ``daemon``
+(the Python workers' daemon); the package re-exports nothing.
 """

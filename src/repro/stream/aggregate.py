@@ -12,7 +12,9 @@ table, its parent block is the family block summed over the variable's
 own values, and the table's nonzero cells are the sorted partial;
 the coordinator's merge adds the partials into one such table the same
 way. Three paths, all returning numpy ``(counter_id, site, n)`` sorted
-by key:
+by key, each column the narrowest integer type its values allow (int32
+ids; unsigned sites and counts, sized by ``k`` and the batch's largest
+count):
 
 * :func:`aggregate_generated` — one Spark job per stream
   (:class:`StreamJob`): chunk-aligned tasks generate their slice of the
@@ -84,15 +86,16 @@ def _split(keys: np.ndarray, cnts: np.ndarray, k: int) -> Counts:
 
     The triple is as narrow as its values allow: ``counter_id`` int32
     (raises if a key's id would not fit), ``site`` the smallest unsigned
-    type that holds ``k - 1``, and ``n`` int64, which keeps the engines'
-    ``np.add.at`` on its fast path.
+    type that holds ``k - 1`` and ``n`` the smallest unsigned type that
+    holds the batch's largest count; the consumers convert ``n`` to
+    int64 where they add it.
     """
     if len(keys) and keys[-1] // k > np.iinfo(np.int32).max:
         raise ValueError("a counter id does not fit the int32 triple")
     return (
         (keys // k).astype(np.int32),
         (keys % k).astype(np.min_scalar_type(k - 1)),
-        cnts.astype(np.int64, copy=False),
+        cnts.astype(np.min_scalar_type(cnts.max(initial=0))),
     )
 
 

@@ -36,13 +36,15 @@ def rows(batch) -> pd.DataFrame:
     return pd.DataFrame(dict(zip(["counter_id", "site", "n"], batch)))
 
 
-def triple_dtypes(k: int) -> list[np.dtype]:
-    """The ``(counter_id, site, n)`` dtypes every path returns for ``k`` sites."""
-    return [np.dtype(np.int32), np.min_scalar_type(k - 1), np.dtype(np.int64)]
+def triple_dtypes(k: int, n: np.ndarray) -> list[np.dtype]:
+    """The ``(counter_id, site, n)`` dtypes every path returns for ``k``
+    sites and counts ``n``: ``n`` in the narrowest unsigned type that
+    holds its largest value."""
+    return [np.dtype(np.int32), np.min_scalar_type(k - 1), np.min_scalar_type(n.max(initial=0))]
 
 
 def assert_same(a, b, k: int) -> None:
-    assert [x.dtype for x in a] == [y.dtype for y in b] == triple_dtypes(k)
+    assert [x.dtype for x in a] == [y.dtype for y in b] == triple_dtypes(k, b[2])
     for x, y in zip(a, b, strict=True):
         np.testing.assert_array_equal(x, y)
 
@@ -139,7 +141,7 @@ class TestPathAgreement:
     def test_generated_empty_range(self, spark, gt):
         job = StreamJob(spark, gt, [(700, 700)], k=4, seed=12)
         out = aggregate_generated(job, gt, 700, 700, k=4, seed=12)
-        assert [a.dtype for a in out] == triple_dtypes(4)
+        assert [a.dtype for a in out] == triple_dtypes(4, out[2])
         assert all(len(a) == 0 for a in out)
 
     def test_events_df_equals_local(self, spark, gt):
@@ -300,11 +302,18 @@ class TestMerge:
         ]
         got = aggregate._merge(parts, size, k)
         want = unique_merge(parts, k)
-        assert [x.dtype for x in got] == triple_dtypes(k)
+        assert [x.dtype for x in got] == triple_dtypes(k, want[2])
         for x, y in zip(got, want, strict=True):
             np.testing.assert_array_equal(x, y)
         keys = got[0] * k + got[1]
         assert np.all(np.diff(keys) > 0)
+
+    @pytest.mark.parametrize(
+        "top, dtype", [(255, np.uint8), (256, np.uint16), (2**16 - 1, np.uint16), (2**16, np.uint32)]
+    )
+    def test_split_narrows_n_to_its_largest_count(self, top, dtype):
+        n = aggregate._split(np.array([0, 1]), np.array([1, top], dtype=np.int64), 2)[2]
+        assert n.dtype == dtype and n.tolist() == [1, top]
 
     def test_split_rejects_counter_id_past_int32(self):
         keys = np.array([3 * (2**31 - 1), 3 * 2**31 + 2])

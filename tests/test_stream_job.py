@@ -40,7 +40,7 @@ def spark_jobs(sc):
 
 
 def assert_same(a, b, k: int) -> None:
-    want = [np.dtype(np.int32), np.min_scalar_type(k - 1), np.dtype(np.int64)]
+    want = [np.dtype(np.int32), np.min_scalar_type(k - 1), np.min_scalar_type(b[2].max(initial=0))]
     assert [x.dtype for x in a] == [y.dtype for y in b] == want
     for x, y in zip(a, b, strict=True):
         np.testing.assert_array_equal(x, y)
