@@ -38,4 +38,7 @@ def main(sections: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    try:
+        main(sys.argv[1:])
+    finally:
+        ex.stop_spark()

@@ -7,7 +7,7 @@ Usage: spark-submit jobs/streaming_demo.py [network] [m]
 import sys
 
 from repro.bayesnet import networks
-from repro.experiments import Config, get_spark
+from repro.experiments import Config, get_spark, stop_spark
 from repro.stream.streaming import run_streaming_learner
 
 
@@ -28,4 +28,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    finally:
+        stop_spark()

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,12 +103,41 @@ class Config:
                 raise ValueError(f"{var} must be {need}, got {value}")
 
 
+def spark_socket_dir(base: str = "/tmp") -> Path:
+    """The directory of Spark's Unix domain sockets, ``<base>/repro-spark-<uid>``,
+    created with mode 0700 if missing.
+
+    Its path does not depend on ``TMPDIR``, ``java.io.tmpdir`` or the
+    checkout: Spark names each socket ``.<uuid4>.sock`` (42 characters),
+    and the whole path must fit AF_UNIX's 107 bytes. PySpark sends no
+    auth token over these sockets, so the directory's permissions are the
+    only access control: one that is not a directory owned by the user,
+    or that its group or others can access, is refused.
+    """
+    uid = os.getuid()
+    path = Path(base) / f"repro-spark-{uid}"
+    try:
+        path.mkdir(mode=0o700)
+    except FileExistsError:
+        pass
+    st = path.lstat()
+    if not stat.S_ISDIR(st.st_mode) or st.st_uid != uid or st.st_mode & 0o077:
+        raise ValueError(
+            f"Spark socket directory {path} must be a directory owned by uid {uid} "
+            f"with mode 0700; it has mode {stat.filemode(st.st_mode)}, owner uid {st.st_uid}"
+        )
+    return path
+
+
 def get_spark():
     """SparkSession for spark-submit entrypoints (conftest-compatible).
 
     Arrow is on. The Python workers import the driver's ``repro``: its
     directory goes ahead of the process's ``PYTHONPATH``. They fork from
     :mod:`repro.stream.daemon`, so no task re-reads Spark's zip archives.
+    The JVM and its Python processes talk over Unix domain sockets in
+    :func:`spark_socket_dir`: over loopback TCP every task waited ~41 ms
+    for its first input record.
     """
     from pyspark.sql import SparkSession
 
@@ -116,8 +146,21 @@ def get_spark():
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.executorEnv.PYTHONPATH", str(Path(__file__).resolve().parents[1]))
         .config("spark.python.daemon.module", "repro.stream.daemon")
+        .config("spark.python.unix.domain.socket.enabled", "true")
+        .config("spark.python.unix.domain.socket.dir", str(spark_socket_dir()))
         .getOrCreate()
     )
+
+
+def stop_spark() -> None:
+    """Stop the session :func:`get_spark` started, if one is running. Its
+    socket files go with it; a process that exits without stopping its
+    session leaves one in :func:`spark_socket_dir`."""
+    from pyspark.sql import SparkSession
+
+    session = SparkSession.getActiveSession()
+    if session is not None:
+        session.stop()
 
 
 # ------------------------------------------------------------- Table 1

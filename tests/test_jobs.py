@@ -3,7 +3,8 @@ section of EXPERIMENTS.md.
 
 The smoke tests shrink the scale knobs (env) and the sweep constants;
 ``get_spark`` resolves to the session-scoped test Spark via
-``getOrCreate``. The stubbed tests replace every runner with the
+``getOrCreate``, except for ``streaming_demo.py``, which runs in its own
+process and JVM. The stubbed tests replace every runner with the
 committed results and check that each section prints exactly what
 ``render_experiments_md`` gives for them, with the runners called at the
 sweep parameters ``repro.experiments`` declares.
@@ -11,6 +12,7 @@ sweep parameters ``repro.experiments`` declares.
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -86,11 +88,20 @@ class TestJobEntrypoints:
         out = capsys.readouterr().out
         assert "Figure 11(a)" in out and "Figure 11(b)" in out
 
-    def test_streaming_demo(self, spark, tiny_env, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "argv", ["streaming_demo", "alarm", "2000"])
-        load_job("streaming_demo").main()
-        out = capsys.readouterr().out
-        assert "micro-batches" in out and "messages" in out
+    def test_streaming_demo(self, tiny_env):
+        """Run as spark-submit runs it, in its own JVM; when it exits, the
+        socket directory holds no socket file it did not hold before."""
+        sockets = ex.spark_socket_dir()
+        before = set(sockets.glob("*.sock"))
+        path = filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        out = subprocess.run(
+            [sys.executable, os.path.join(JOBS, "streaming_demo.py"), "alarm", "2000"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "micro-batches" in out.stdout and "messages" in out.stdout
+        assert set(sockets.glob("*.sock")) <= before
 
 
 @pytest.fixture()
