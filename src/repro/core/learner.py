@@ -3,14 +3,14 @@
 Every driver — the batch loop ``train_many`` and the Structured
 Streaming ``foreachBatch`` — feeds one :class:`Learner`. Its engines see
 the *same* per-micro-batch aggregation ``(counter_id, site, n)`` (as the
-paper's simulator does) and differ only in their per-counter error
-parameters, looked up in :data:`ALGORITHMS`. The coordinator-side
-protocol (estimates, rounds, message tally) runs on the driver —
+paper's simulator does) and differ only in their :class:`Spec`: error
+parameters (:data:`ALGORITHMS`), protocol constant and seed. The
+coordinator-side protocol (estimates, rounds, message tally) runs on the driver —
 mirroring the monitoring model's single-coordinator topology.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,59 +47,67 @@ ALGORITHMS: dict[str, Algorithm] = {
 }
 
 
-@dataclass
-class TrainResult:
-    """Outcome of training one algorithm over ``m`` streamed events."""
+class Spec(NamedTuple):
+    """One engine: an algorithm of :data:`ALGORITHMS` with its error
+    budget, reporting constant and protocol seed."""
 
     algo: str
+    eps: float
+    proto_c: float
+    seed: int
+
+    @classmethod
+    def of(cls, algos: list[str], *, eps: float, seed: int, proto_c: float) -> list[Spec]:
+        """``train_many``'s engines: one spec per algorithm, the ``j``-th
+        with protocol seed ``seed * 1000 + j``."""
+        if len(set(algos)) != len(algos):
+            raise ValueError(f"repeated algorithms in {algos}")
+        return [cls(algo, eps, proto_c, seed * 1000 + j) for j, algo in enumerate(algos)]
+
+
+@dataclass
+class TrainResult:
+    """Outcome of training one engine over ``m`` streamed events."""
+
     model: CountModel
-    total_messages: int
     #: (events processed, cumulative messages) after each micro-batch —
     #: the Figure 9 curve.
-    history: list[tuple[int, int]] = field(default_factory=list)
+    history: list[tuple[int, int]]
     #: (events processed, counter-value snapshot) per micro-batch when
     #: ``collect_snapshots`` — the Figures 3-8 curves.
-    snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    snapshots: list[tuple[int, np.ndarray]]
+
+    @property
+    def total_messages(self) -> int:
+        return self.history[-1][1]
 
 
 class Learner:
-    """One counter engine per algorithm, all fed the same micro-batches.
-
-    Engines are built in ``algos`` order, the ``j``-th with protocol
-    seed ``seed * 1000 + j``.
-    """
+    """One counter engine per spec, built in ``specs`` order, all fed the
+    same micro-batches over one site ledger: one aggregation of the stream."""
 
     def __init__(
-        self,
-        net: BayesNet,
-        algos: list[str],
-        *,
-        k: int,
-        eps: float,
-        seed: int,
-        proto_c: float = 1.0,
-        collect_snapshots: bool = False,
+        self, net: BayesNet, specs: list[Spec], *, k: int, collect_snapshots: bool = False
     ) -> None:
-        unknown = [a for a in algos if a not in ALGORITHMS]
+        unknown = [s.algo for s in specs if s.algo not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown}; known: {list(ALGORITHMS)}")
-        if len(set(algos)) != len(algos):
-            raise ValueError(f"repeated algorithms in {algos}")
         self.net = net
         self.collect_snapshots = collect_snapshots
         self.events = 0
         self.ledger = SiteLedger(net.n_counters, k)
-        self.engines: dict[str, ExactCounterEngine | BatchCounterEngine] = {}
-        for j, algo in enumerate(algos):
-            fn = ALGORITHMS[algo].counter_eps
-            self.engines[algo] = (
+        self.engines: dict[Spec, ExactCounterEngine | BatchCounterEngine] = {}
+        for s in specs:
+            fn = ALGORITHMS[s.algo].counter_eps
+            self.engines[s] = (
                 ExactCounterEngine(self.ledger)
                 if fn is None
                 else BatchCounterEngine(
-                    fn(net, eps), self.ledger, seed=seed * 1000 + j, proto_c=proto_c
+                    fn(net, s.eps), self.ledger, seed=s.seed, proto_c=s.proto_c
                 )
             )
-        self.results = {algo: TrainResult(algo, None, 0, [(0, 0)]) for algo in algos}  # type: ignore[arg-type]
+        self.history: dict[Spec, list[tuple[int, int]]] = {s: [(0, 0)] for s in specs}
+        self.snapshots: dict[Spec, list[tuple[int, np.ndarray]]] = {s: [] for s in specs}
 
     def update(self, cid: np.ndarray, sid: np.ndarray, n: np.ndarray) -> None:
         """Feed one micro-batch of ``(counter_id, site, n)`` rows to the
@@ -110,8 +118,8 @@ class Learner:
             return
         self.ledger.add(cid, sid, n)
         self.events += int(n.sum()) // (2 * self.net.n)
-        for algo, eng in self.engines.items():
-            if ALGORITHMS[algo].shared_parents:
+        for s, eng in self.engines.items():
+            if ALGORITHMS[s.algo].shared_parents:
                 # Algorithm 4 (Sec 5.2): every leaf's parent counters track
                 # the same event X_0 = x_0, and the physical counter (leaf
                 # 1's block) is incremented once per event. Leaves
@@ -122,26 +130,40 @@ class Learner:
                 eng.update(cid[own], sid[own], n[own])
             else:
                 eng.update(cid, sid, n)
-            res = self.results[algo]
-            res.history.append((self.events, eng.total_messages))
+            self.history[s].append((self.events, eng.total_messages))
             if self.collect_snapshots:
-                res.snapshots.append((self.events, self._values(algo)))
+                self.snapshots[s].append((self.events, self._values(s)))
 
-    def _values(self, algo: str) -> np.ndarray:
-        vals = self.engines[algo].estimates()
-        if ALGORITHMS[algo].shared_parents:
+    def _values(self, s: Spec) -> np.ndarray:
+        vals = self.engines[s].estimates()
+        if ALGORITHMS[s.algo].shared_parents:
             net = self.net
             block = vals[net.par_offset[1] : net.par_offset[2]]
             vals = np.concatenate([vals, np.tile(block, net.n - 2)])
         return vals
 
-    def models(self) -> dict[str, TrainResult]:
-        """Every algorithm's current model and message tally."""
-        for algo, eng in self.engines.items():
-            res = self.results[algo]
-            res.model = CountModel(self.net, self._values(algo))
-            res.total_messages = eng.total_messages
-        return self.results
+    def models(self) -> dict[Spec, TrainResult]:
+        """Every engine's current model and message history."""
+        return {s: TrainResult(CountModel(self.net, self._values(s)), self.history[s],
+                               self.snapshots[s]) for s in self.engines}
+
+    def run(self, spark: SparkSession | None, gt: GroundTruth, *, m: int, seed: int,
+            first_batch: int = 1024) -> dict[Spec, TrainResult]:
+        """Feed every engine the ``m``-event stream of ``gt`` (stream seed
+        ``seed``), aggregated once per micro-batch: on the driver with
+        ``spark=None``, else by one :class:`~repro.stream.aggregate.StreamJob`
+        whose batches are taken in stream order."""
+        k = self.ledger.k
+        ranges = batch_ranges(m, first=first_batch)
+        job = None if spark is None else StreamJob(spark, gt, ranges, k=k, seed=seed)
+        for lo, hi in ranges:
+            if job is not None:
+                batch = aggregate_generated(job, gt, lo, hi, k=k, seed=seed)
+            else:
+                batch = aggregate_local(gt, lo, hi, k=k, seed=seed)
+            self.update(*batch)
+            del batch  # released before the next batch's events are drawn
+        return self.models()
 
 
 def train_many(
@@ -157,26 +179,13 @@ def train_many(
     collect_snapshots: bool = False,
     proto_c: float = 1.0,
 ) -> dict[str, TrainResult]:
-    """Train every algorithm in ``algos`` over the same ``m``-event stream.
+    """Train every algorithm in ``algos`` over the same ``m``-event stream
+    (:meth:`Learner.run` over :meth:`Spec.of`'s specs), keyed by algorithm.
 
     ``algos`` entries are keys of :data:`ALGORITHMS`; ``"nb-shared"``
-    (Naive-Bayes Algorithm 4) needs a root-0 Naive-Bayes network. Pass
-    ``spark=None`` to use the driver-side reference aggregation (unit
-    tests / tiny runs); with a session the whole stream is one Spark job
-    (:class:`~repro.stream.aggregate.StreamJob`) whose batches are taken
-    in stream order.
+    (Naive-Bayes Algorithm 4) needs a root-0 Naive-Bayes network.
     """
-    learner = Learner(
-        gt.net, algos, k=k, eps=eps, seed=seed, proto_c=proto_c,
-        collect_snapshots=collect_snapshots,
-    )
-    ranges = batch_ranges(m, first=first_batch)
-    job = None if spark is None else StreamJob(spark, gt, ranges, k=k, seed=seed)
-    for lo, hi in ranges:
-        if job is not None:
-            batch = aggregate_generated(job, gt, lo, hi, k=k, seed=seed)
-        else:
-            batch = aggregate_local(gt, lo, hi, k=k, seed=seed)
-        learner.update(*batch)
-        del batch  # released before the next batch's events are drawn
-    return learner.models()
+    specs = Spec.of(algos, eps=eps, seed=seed, proto_c=proto_c)
+    learner = Learner(gt.net, specs, k=k, collect_snapshots=collect_snapshots)
+    res = learner.run(spark, gt, m=m, seed=seed, first_batch=first_batch)
+    return {s.algo: r for s, r in res.items()}

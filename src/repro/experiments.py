@@ -21,6 +21,7 @@ REPRO_PROTO_C      0.1       counter reporting constant (DESIGN.md #5)
 """
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import stat
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro.bayesnet import networks
 from repro.core import classify
-from repro.core.learner import ALGORITHMS, TrainResult, train_many
+from repro.core.learner import ALGORITHMS, Learner, Spec, TrainResult, train_many
 from repro.core.model import CountModel, mean_abs_ratio_error
 
 #: The four algorithms of the paper's tables (Algorithm 4 is Naive-Bayes only).
@@ -137,11 +138,14 @@ def get_spark():
     :mod:`repro.stream.daemon`, so no task re-reads Spark's zip archives.
     The JVM and its Python processes talk over Unix domain sockets in
     :func:`spark_socket_dir`: over loopback TCP every task waited ~41 ms
-    for its first input record.
+    for its first input record. PySpark stops nothing at exit, so one
+    exit hook unlinks the live context's accumulator server socket (a
+    stopped context has removed its own). The hook makes no JVM call: the
+    gateway may be down by then.
     """
     from pyspark.sql import SparkSession
 
-    return (
+    spark = (
         SparkSession.builder.appName("repro-jobs")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.executorEnv.PYTHONPATH", str(Path(__file__).resolve().parents[1]))
@@ -150,12 +154,20 @@ def get_spark():
         .config("spark.python.unix.domain.socket.dir", str(spark_socket_dir()))
         .getOrCreate()
     )
+    sock = spark.sparkContext._accumulatorServer.server_address
+    if isinstance(sock, str):
+        atexit.unregister(_unlink_socket)
+        atexit.register(_unlink_socket, sock)
+    return spark
+
+
+def _unlink_socket(path: str) -> None:
+    Path(path).unlink(missing_ok=True)
 
 
 def stop_spark() -> None:
     """Stop the session :func:`get_spark` started, if one is running. Its
-    socket files go with it; a process that exits without stopping its
-    session leaves one in :func:`spark_socket_dir`."""
+    socket files go with it at once, not at exit."""
     from pyspark.sql import SparkSession
 
     session = SparkSession.getActiveSession()
@@ -186,6 +198,15 @@ def _train(spark, gt, cfg: Config, algos=ALGOS, **over) -> dict[str, TrainResult
     kw = dict(m=cfg.m, k=cfg.k, eps=cfg.eps, seed=cfg.seed,
               proto_c=cfg.proto_c, first_batch=cfg.first_batch)
     return train_many(spark, gt, algos, **{**kw, **over})
+
+
+def _train_each(spark, gt, cfg: Config, algos, m: int, key: str, values) -> list[dict]:
+    """``_train`` at each of ``values`` of ``key`` (eps or proto_c), over one aggregation."""
+    runs = [Spec.of(algos, **{"eps": cfg.eps, "proto_c": cfg.proto_c, key: v}, seed=cfg.seed)
+            for v in values]
+    learner = Learner(gt.net, [s for run in runs for s in run], k=cfg.k)
+    res = learner.run(spark, gt, m=m, seed=cfg.seed, first_batch=cfg.first_batch)
+    return [{s.algo: res[s] for s in run} for run in runs]
 
 
 def evaluate_models(gt, results: dict[str, TrainResult], cfg: Config) -> dict[str, dict]:
@@ -253,8 +274,8 @@ def error_vs_eps(name: str, eps_list: list[float], cfg: Config) -> list[dict]:
     aggregation path — small m sweeps)."""
     gt = networks.ground_truth(name)
     rows = []
-    for eps in eps_list:
-        ev = evaluate_models(gt, _train(None, gt, cfg, eps=eps), cfg)
+    for eps, res in zip(eps_list, _train_each(None, gt, cfg, ALGOS, cfg.m, "eps", eps_list)):
+        ev = evaluate_models(gt, res, cfg)
         rows.append(dict(eps=eps, **{f"{a}_err_gt": ev[a]["err_gt"] for a in ALGOS},
                          **{f"{a}_err_mle": ev[a]["err_mle"] for a in APPROX}))
     return rows
@@ -273,23 +294,20 @@ def new_alarm_comm(spark, m: int, cfg: Config) -> dict:
 
     Returns the saving at every (doubling) checkpoint — the saving grows
     with m as the high-cardinality counters enter the thinning regime.
-    A second run, at ``proto_c/10`` (``paper_regime``), shows the
-    operating point of the paper's (more aggressive) implementation,
-    where the asymptotic saving appears at feasible m (DESIGN.md #5).
+    The same stream also feeds both algorithms at ``proto_c/10``
+    (``paper_regime``), the operating point of the paper's (more
+    aggressive) implementation, where the asymptotic saving appears at
+    feasible m (DESIGN.md #5).
     """
     gt = networks.ground_truth("new-alarm")
-
-    def sweep(proto_c: float) -> list[dict]:
-        res = _train(spark, gt, cfg, ["uniform", "nonuniform"], m=m, proto_c=proto_c)
-        return [
-            dict(m=mm, uniform=u, nonuniform=nu, saving=1 - nu / u)
-            for (mm, u), (_, nu) in zip(
-                res["uniform"].history[1:], res["nonuniform"].history[1:]
-            )
-        ]
-
-    rows = sweep(cfg.proto_c)
-    paper = dict(sweep(cfg.proto_c / 10)[-1], proto_c=cfg.proto_c / 10)
+    cs = [cfg.proto_c, cfg.proto_c / 10]
+    res, low = _train_each(spark, gt, cfg, ["uniform", "nonuniform"], m, "proto_c", cs)
+    rows = [
+        dict(m=mm, uniform=u, nonuniform=nu, saving=1 - nu / u)
+        for (mm, u), (_, nu) in zip(res["uniform"].history[1:], res["nonuniform"].history[1:])
+    ]
+    u, nu = low["uniform"].total_messages, low["nonuniform"].total_messages
+    paper = dict(m=m, uniform=u, nonuniform=nu, saving=1 - nu / u, proto_c=cs[1])
     return dict(m=m, rows=rows, **{k: rows[-1][k] for k in ("uniform", "nonuniform", "saving")},
                 paper_regime=paper)
 

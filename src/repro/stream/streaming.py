@@ -20,7 +20,7 @@ import time
 from pyspark.sql import SparkSession
 
 from repro.bayesnet.cpd import GroundTruth
-from repro.core.learner import Learner, TrainResult
+from repro.core.learner import Learner, Spec, TrainResult
 from repro.stream.aggregate import aggregate_events_df
 from repro.stream.events import batch_ranges, events_pandas
 
@@ -66,7 +66,7 @@ def run_streaming_learner(
     directory that also holds the query checkpoint (outside the
     ``b*.parquet`` glob the query reads), deleted on return and on error.
     """
-    learner = Learner(gt.net, algos, k=k, eps=eps, seed=seed, proto_c=proto_c)
+    learner = Learner(gt.net, Spec.of(algos, eps=eps, seed=seed, proto_c=proto_c), k=k)
 
     def on_batch(batch_df, batch_id: int) -> None:
         learner.update(*aggregate_events_df(gt.net, batch_df, k=k))
@@ -87,4 +87,4 @@ def run_streaming_learner(
             q.awaitTermination()  # drains the staged files (availableNow)
         finally:
             q.stop()  # a no-op unless interrupted: nothing writes to d after
-    return learner.models()
+    return {s.algo: r for s, r in learner.models().items()}

@@ -3,6 +3,7 @@ and import the driver's ``repro``; the JVM talks to them over Unix domain
 sockets in a private directory."""
 import importlib
 import os
+import subprocess
 import sys
 import zipfile
 import zipimport
@@ -78,6 +79,34 @@ def test_session_talks_to_its_workers_over_private_unix_sockets(spark):
     # The JVM writes the flag as "True"; pyspark's daemon reads it lowercased.
     assert enabled.lower() == "true"
     assert sock_dir == sockets
+
+
+#: Runs one job, prints its accumulator server's socket, then raises
+#: without stopping its session.
+UNSTOPPED = """
+from repro.experiments import get_spark
+sc = get_spark().sparkContext
+sc.parallelize(range(4), 2).map(lambda x: x + 1).sum()
+print(sc._accumulatorServer.server_address, flush=True)
+raise SystemExit("exits without stop()")
+"""
+
+
+def test_process_that_never_stops_its_session_leaves_no_socket():
+    """PySpark stops nothing at exit; ``get_spark``'s exit hook unlinks the
+    accumulator server's socket, the one file the process would leave."""
+    sockets = experiments.spark_socket_dir()
+    before = set(sockets.glob("*.sock"))
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", UNSTOPPED], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 1 and "exits without stop()" in out.stderr, out.stderr
+    sock = out.stdout.strip().splitlines()[-1]
+    assert os.path.dirname(sock) == str(sockets) and not os.path.exists(sock)
+    assert set(sockets.glob("*.sock")) <= before
 
 
 def test_socket_dir_fits_af_unix_whatever_the_temp_dir(monkeypatch):

@@ -144,6 +144,28 @@ class TestRunners:
         out = ex.new_alarm_comm(None, 4000, tiny_cfg)
         assert out["uniform"] > 0 and out["nonuniform"] > 0
 
+    @pytest.mark.parametrize("sweep", ["fig10", "fig11b"])
+    def test_sweep_aggregates_its_stream_once(self, tiny_cfg, monkeypatch, sweep):
+        """A sweep over eps or proto_c aggregates each batch of its stream
+        once, not once per setting: the aggregation does not depend on
+        either."""
+        from repro.core import learner
+        from repro.stream.events import batch_ranges
+
+        calls = []
+        aggregate_local = learner.aggregate_local
+
+        def counted(gt, lo, hi, **kwargs):
+            calls.append((lo, hi))
+            return aggregate_local(gt, lo, hi, **kwargs)
+
+        monkeypatch.setattr(learner, "aggregate_local", counted)
+        if sweep == "fig10":
+            ex.error_vs_eps("alarm", [0.05, 0.1, 0.4], tiny_cfg)
+        else:
+            ex.new_alarm_comm(None, tiny_cfg.m, tiny_cfg)
+        assert calls == batch_ranges(tiny_cfg.m, first=tiny_cfg.first_batch)
+
 
 class TestReport:
     def _tiny_results(self, tiny_cfg):

@@ -1,5 +1,5 @@
-"""Every algorithm checks its error parameter the same way, the
-learner refuses algorithm lists it would silently collapse, and a batch
+"""Every algorithm checks its error parameter the same way, ``Spec.of``
+refuses algorithm lists the drivers would silently collapse, and a batch
 the site ledger refuses changes nothing."""
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
 from repro.core import budget
-from repro.core.learner import Learner, train_many
+from repro.core.learner import Learner, Spec, train_many
 from repro.distmon.batch import (
     SITE_COUNT_MAX,
     BatchCounterEngine,
@@ -15,6 +15,7 @@ from repro.distmon.batch import (
     SiteLedger,
 )
 from repro.stream.aggregate import aggregate_local
+from repro.stream.streaming import run_streaming_learner
 from tests.engines import batch_engine, feed, force_p, state
 
 
@@ -45,13 +46,24 @@ def test_engine_rejects_non_finite_eps(bad):
 
 
 def test_learner_rejects_repeated_algorithms():
-    with pytest.raises(ValueError):
-        Learner(networks.naive_bayes(5, 3, 2), ["uniform", "uniform"], k=3, eps=0.1, seed=0)
+    with pytest.raises(ValueError, match="repeated"):
+        specs = Spec.of(["uniform", "uniform"], eps=0.1, seed=0, proto_c=1.0)
+        Learner(networks.naive_bayes(5, 3, 2), specs, k=3)
+
+
+@pytest.mark.parametrize("driver", [train_many, run_streaming_learner])
+def test_drivers_reject_repeated_algorithms(driver):
+    """Results are keyed by algorithm, so a repeated one would collapse
+    two engines into one entry: refused before any event is drawn (the
+    session, ``None`` here, is never touched)."""
+    gt = GroundTruth.random(networks.naive_bayes(5, 3, 2), seed=0)
+    with pytest.raises(ValueError, match="repeated"):
+        driver(None, gt, ["exact", "uniform", "uniform"], m=100, k=3, eps=0.1, seed=0)
 
 
 def learner_state(learner: Learner):
     """Everything a batch moves: events, histories, ledger and engines."""
-    histories = {a: list(r.history) for a, r in learner.results.items()}
+    histories = {s: list(h) for s, h in learner.history.items()}
     return learner.events, histories, state(learner.ledger, *learner.engines.values())
 
 
@@ -92,10 +104,11 @@ def test_rejected_batch_changes_nothing(cid, sid, n):
     would refuse."""
     gt = GroundTruth.random(networks.chain(3), seed=1)
     algos = ["exact", "baseline", "uniform"]
-    learner = Learner(gt.net, algos, k=2, eps=0.1, seed=2, proto_c=0.1)
+    specs = Spec.of(algos, eps=0.1, seed=2, proto_c=0.1)
+    learner = Learner(gt.net, specs, k=2)
     for lo, hi in [(0, 300), (300, 900)]:
         learner.update(*aggregate_local(gt, lo, hi, k=2, seed=3))
-    assert learner.ledger.f[2, 0] > 0 and np.any(learner.engines["uniform"].p < 1.0)
+    assert learner.ledger.f[2, 0] > 0 and np.any(learner.engines[specs[2]].p < 1.0)
     before = learner_state(learner)
     with pytest.raises(ValueError):
         learner.update(np.array(cid), np.array(sid), np.array(n, dtype=np.int64))

@@ -10,10 +10,11 @@ import pytest
 from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
 from repro.core import classify
-from repro.core.learner import Learner, train_many
+from repro.core.learner import Learner, Spec, train_many
 from repro.core.model import mean_abs_ratio_error
 from repro.stream.aggregate import aggregate_local
 from repro.stream.events import batch_ranges
+from tests.engines import SWEEPS, assert_one_learner_equals_separate_runs
 
 
 @pytest.fixture(scope="module")
@@ -213,10 +214,11 @@ class TestNaiveBayesShared:
         more messages than it received increments."""
         net = networks.naive_bayes(12, J_root=4, J_leaf=3)
         gt = GroundTruth.random(net, seed=20, alpha=0.5)
-        learner = Learner(net, ["nb-shared"], k=10, eps=0.1, seed=21)
+        (spec,) = Spec.of(["nb-shared"], eps=0.1, seed=21, proto_c=1.0)
+        learner = Learner(net, [spec], k=10)
         for lo, hi in batch_ranges(20_000, first=1024):
             learner.update(*aggregate_local(gt, lo, hi, k=10, seed=21))
-        eng = learner.engines["nb-shared"]
+        eng = learner.engines[spec]
         assert np.all(eng.messages <= learner.ledger.totals[: eng.nc])
         shared = slice(net.par_offset[1], net.par_offset[2])
         assert learner.ledger.totals[shared].sum() == 20_000
@@ -231,3 +233,14 @@ class TestNaiveBayesShared:
             np.testing.assert_array_equal(
                 v[net.par_offset[i] : net.par_offset[i + 1]], b1
             )
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_one_learner_equals_separate_runs(sweep):
+    """Specs that differ only in ``eps`` or only in ``proto_c`` share one
+    ledger and one aggregation, and each trains what its own
+    ``train_many`` call trains (driver path)."""
+    gt = GroundTruth.random(networks.naive_bayes(6, J_root=3, J_leaf=2), seed=50)
+    assert_one_learner_equals_separate_runs(
+        None, gt, SWEEPS[sweep], m=6000, k=4, seed=51, first_batch=512
+    )

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from repro.bayesnet import networks
+from repro.bayesnet.cpd import GroundTruth
 from repro.core import classify
 from repro.core.learner import train_many
 from repro.core.model import mean_abs_ratio_error
+from tests.engines import SWEEPS, assert_one_learner_equals_separate_runs
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +69,13 @@ class TestSparkTraining:
         e_exact = classify.error_rate(res["exact"].model, gt.net, Xt, targets)
         e_nu = classify.error_rate(res["nonuniform"].model, gt.net, Xt, targets)
         assert abs(e_nu - e_exact) < 0.05
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_one_learner_equals_separate_runs(spark, sweep):
+    """As on the driver path: one Spark job's batches feed every spec,
+    and each trains what its own Spark ``train_many`` call trains."""
+    gt = GroundTruth.random(networks.naive_bayes(6, J_root=3, J_leaf=2), seed=50)
+    assert_one_learner_equals_separate_runs(
+        spark, gt, SWEEPS[sweep], m=6000, k=4, seed=51, first_batch=512
+    )
